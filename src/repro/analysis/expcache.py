@@ -20,7 +20,7 @@ The cache key is::
        stats flavour and sanitizer arming)
 
 Deliberately **excluded** from the key: ``--jobs`` and the bulk /
-timer-wheel / pagestore / workcache / checkpoint toggles — all are
+pagestore / workcache / checkpoint toggles — all are
 pinned byte-identical by CI, so a cache entry produced under one
 setting is valid under every other.  That exclusion is load-bearing:
 it is what lets a ``--jobs 4`` run serve a ``--jobs 1`` run's cache
@@ -280,7 +280,7 @@ class ExperimentCache:
 def ambient_modes() -> Dict[str, str]:
     """The feature modes that select *what* an experiment computes (and
     therefore belong in the cache key).  Byte-identity-pinned toggles —
-    bulk, timers, pagestore, workcache, checkpoint, jobs — are
+    bulk, pagestore, workcache, checkpoint, jobs — are
     deliberately absent: entries are valid across all of them.
     """
     from repro.sim.stats import stats_mode

@@ -96,8 +96,8 @@ def bench_timeouts_cancelled(n_procs: int = 100, steps: int = 400) -> float:
     """Schedule+cancel churn — the RAS reaping pattern: every step arms
     a long watchdog timer (50x the step period, like a command timeout
     over a fast completion path), does its work, and cancels it.  The
-    tombstoned watchdogs still drain through the timer structure, so
-    this measures the full lazy-cancel round trip."""
+    tombstoned watchdogs still drain through the heap, so this measures
+    the full lazy-cancel round trip."""
     from repro.sim.engine import Simulator, Timeout
     sim = Simulator()
 
@@ -262,10 +262,6 @@ FIG6_BULK_SPEEDUP_FLOOR = 2.0
 #: zswap/ksm mix (the offload flows train d2h/d2d; the codec work hits
 #: the cache).  Measured ~3x.
 ZSWAP_KSM_CACHE_SPEEDUP_FLOOR = 2.0
-#: Minimum accepted timer-wheel speedup on the timeout-heavy engine
-#: benches (heap timers off vs wheel timers on).  Measured ~1.6x on the
-#: pure-Timeout shape; the floor is loose for noisy CI runners.
-TIMER_WHEEL_SPEEDUP_FLOOR = 1.2
 #: Minimum accepted checkpoint-fork speedup on the warm-up-heavy sweep
 #: (8 points sharing one 96-page zswap pool prefill).  Cold replays the
 #: codec-heavy prefill per point; forked pays one prefill + one pickle
@@ -277,18 +273,6 @@ CHECKPOINT_FORK_SPEEDUP_FLOOR = 2.0
 #: disk.  Measured orders of magnitude; 5x is the contract the warm
 #: ``repro all`` CI job also enforces end to end.
 EXPCACHE_WARM_SPEEDUP_FLOOR = 5.0
-#: Minimum accepted timer-reaping speedup on the schedule+cancel bench
-#: (tombstone drain off vs compaction on, both on the default wheel
-#: carrier).  Measured ~2.8x; the ISSUE-10 contract is >= 2x.
-TIMERS_REAP_SPEEDUP_FLOOR = 2.0
-#: Minimum accepted packed-codec speedup on the wire pickle round trip
-#: (the coordinator<->worker boundary cost `send_bulk` pays per wire).
-#: Measured ~4x; the floor is loose for noisy CI runners.
-WIRE_CODEC_SPEEDUP_FLOOR = 1.5
-#: Minimum accepted quiescent fast-forward speedup on the sparse rack
-#: (arrivals epochs apart, so most barriers are empty).  Measured ~3x;
-#: the ISSUE-10 contract is >= 1.5x.
-RACK_FASTFORWARD_SPEEDUP_FLOOR = 1.5
 #: Minimum accepted ShardPool speedup on the 16-shard rack bench
 #: (``jobs=4`` vs ``jobs=1``).  Only enforced when the measuring host
 #: has at least 2 CPUs — the cell records ``cpus`` and
@@ -300,10 +284,6 @@ RACK_PARALLEL_SPEEDUP_FLOOR = 2.0
 SPEEDUP_FLOORS: Dict[str, float] = {
     "fig6_cxl_ldst": FIG6_BULK_SPEEDUP_FLOOR,
     "zswap_ksm": ZSWAP_KSM_CACHE_SPEEDUP_FLOOR,
-    "timer_wheel": TIMER_WHEEL_SPEEDUP_FLOOR,
-    "timers_reap": TIMERS_REAP_SPEEDUP_FLOOR,
-    "wire_codec": WIRE_CODEC_SPEEDUP_FLOOR,
-    "rack_fastforward": RACK_FASTFORWARD_SPEEDUP_FLOOR,
     "checkpoint_fork": CHECKPOINT_FORK_SPEEDUP_FLOOR,
     "expcache_warm": EXPCACHE_WARM_SPEEDUP_FLOOR,
     "rack_parallel": RACK_PARALLEL_SPEEDUP_FLOOR,
@@ -374,140 +354,6 @@ def measure_speedups(rounds: int = 3) -> Dict[str, Any]:
     finally:
         set_bulk(None)
         set_workcache(None)
-
-    from repro.sim.timers import WHEEL_STATS, set_timers
-
-    def _timeout_workload() -> None:
-        bench_timeouts()
-        bench_timeouts_cancelled()
-
-    try:
-        set_timers("heap")
-        off = _best_wall(_timeout_workload, rounds)
-        set_timers("wheel")
-        WHEEL_STATS.reset()
-        on = _best_wall(_timeout_workload, rounds)
-        cells["timer_wheel"] = {
-            "feature": "timer-wheel",
-            "off_wall_s": round(off, 4),
-            "on_wall_s": round(on, 4),
-            "speedup": round(off / on, 2),
-            "stats": WHEEL_STATS.snapshot(),
-        }
-    finally:
-        set_timers(None)
-
-    from repro.sim.timers import set_timers_reap
-
-    # Tombstone reaping on the schedule+cancel shape (ISSUE 10).  Off
-    # replays the legacy lazy-cancel drain — every dead watchdog still
-    # marches through the wheel; on compacts them out (nursery staging
-    # for the never-inserted, ratio-triggered sweeps for the rest).
-    try:
-        set_timers_reap(False)
-        off = _best_wall(bench_timeouts_cancelled, rounds)
-        set_timers_reap(True)
-        WHEEL_STATS.reset()
-        on = _best_wall(bench_timeouts_cancelled, rounds)
-        cells["timers_reap"] = {
-            "feature": "timers-reap",
-            "off_wall_s": round(off, 4),
-            "on_wall_s": round(on, 4),
-            "speedup": round(off / on, 2),
-            "stats": WHEEL_STATS.describe(),
-        }
-    finally:
-        set_timers_reap(None)
-
-    import pickle
-
-    from repro.rack.fabric import (FabricConfig, FabricPort,
-                                   set_wire_codec)
-
-    # Packed wire codec on the worker -> coordinator -> worker path a
-    # wire takes at jobs > 1: the sender's outbox is pickled up to the
-    # coordinator, routed *without touching payloads* (Fabric.push only
-    # reads the header), then pickled back down to the destination
-    # shard, which decodes once.  Legacy tuples pay four C traversals
-    # of every record; the packed frame ships as one bytes object and
-    # decodes a single time.
-    def _codec_workload() -> None:
-        fcfg = FabricConfig()
-        port = FabricPort(0, fcfg)
-        # Rack-shaped values: user ids spread over millions, issue
-        # times in simulated ns — not pickle's small-int fast path.
-        req = [(i * 39_119 % 9_999_991, 1e9 + i * 617.25)
-               for i in range(256)]
-        rep = [(u, t, t + 88_000.5) for u, t in req]
-        consumed = 0
-        for k in range(150):
-            wires = (port.send_bulk(1, "req", req, float(k)),
-                     port.send_bulk(2, "rep", rep, float(k)))
-            hop1 = pickle.dumps(wires, protocol=pickle.HIGHEST_PROTOCOL)
-            outbox = pickle.loads(hop1)          # coordinator side
-            hop2 = pickle.dumps(outbox, protocol=pickle.HIGHEST_PROTOCOL)
-            for wire in pickle.loads(hop2):      # destination shard
-                consumed += len(wire.payload)
-
-    try:
-        set_wire_codec(False)
-        off = _best_wall(_codec_workload, rounds)
-        set_wire_codec(True)
-        on = _best_wall(_codec_workload, rounds)
-        # Representative framing telemetry: one of each wire shape.
-        fcfg = FabricConfig()
-        port = FabricPort(0, fcfg)
-        sample = tuple((i * 39_119 % 9_999_991, 1e9 + i * 617.25)
-                       for i in range(256))
-        req_wire = port.send_bulk(1, "req", sample, 0.0)
-        legacy_bytes = len(pickle.dumps(
-            sample, protocol=pickle.HIGHEST_PROTOCOL))
-        cells["wire_codec"] = {
-            "feature": "wire-codec",
-            "off_wall_s": round(off, 4),
-            "on_wall_s": round(on, 4),
-            "speedup": round(off / on, 2),
-            "stats": {
-                "items_per_wire": req_wire.count,
-                "frame_bytes": len(req_wire.frame),
-                "legacy_pickle_bytes": legacy_bytes,
-                "modelled_nbytes": req_wire.nbytes,
-            },
-        }
-    finally:
-        set_wire_codec(None)
-
-    from repro.rack import RackConfig, run_rack
-    from repro.rack.cluster import set_rack_ff
-
-    # Quiescent-epoch fast-forward on a sparse rack: arrivals land
-    # epochs apart (low utilization stretches the run), so the legacy
-    # loop spins mostly-empty 500us barriers that the fast-forward
-    # jumps over.  Byte-identity off-vs-on is pinned by tests/rack.
-    ff_cfg = RackConfig(hosts=4, users=256, buckets=64,
-                        servers_per_host=1, target_utilization=0.001,
-                        seed=42)
-    ff_rounds = min(rounds, 2)
-    try:
-        set_rack_ff(False)
-        off = _best_wall(lambda: run_rack(ff_cfg, jobs=1), ff_rounds)
-        set_rack_ff(True)
-        ff_result = None
-
-        def _rack_ff() -> None:
-            nonlocal ff_result
-            ff_result = run_rack(ff_cfg, jobs=1)
-
-        on = _best_wall(_rack_ff, ff_rounds)
-        cells["rack_fastforward"] = {
-            "feature": "rack-ff",
-            "off_wall_s": round(off, 4),
-            "on_wall_s": round(on, 4),
-            "speedup": round(off / on, 2),
-            "stats": ff_result.fabric_stats,
-        }
-    finally:
-        set_rack_ff(None)
 
     from repro.sim.checkpoint import CHECKPOINT_STATS, set_checkpoint
 
@@ -727,30 +573,7 @@ def render(payload: Dict[str, Any]) -> str:
             f"({cell['feature']} {cell['off_wall_s']:.3f}s -> "
             f"{cell['on_wall_s']:.3f}s)")
         stats = cell["stats"]
-        if cell["feature"] == "timer-wheel":
-            lines.append(
-                f"{'':<16s} {stats['fired']:>12,d} fired / "
-                f"{stats['cancelled']:,d} cancelled, "
-                f"{stats['cascades']:,d} cascades")
-        elif cell["feature"] == "timers-reap":
-            lines.append(
-                f"{'':<16s} {stats['cancelled']:>12,d} cancelled, "
-                f"{stats['reaped']:,d} reaped in "
-                f"{stats['reap_sweeps']:,d} sweeps, "
-                f"{stats['tombstones_pending']:,d} pending")
-        elif cell["feature"] == "wire-codec":
-            lines.append(
-                f"{'':<16s} {stats['frame_bytes']:>12,d} B framed vs "
-                f"{stats['legacy_pickle_bytes']:,d} B pickled "
-                f"({stats['items_per_wire']:,d} items/wire)")
-        elif cell["feature"] == "rack-ff":
-            demoted = (stats["demoted_inflight"] + stats["demoted_backlog"]
-                       + stats["demoted_directives"] + stats["demoted_kill"])
-            lines.append(
-                f"{'':<16s} {stats['epochs_run']:>12,d} epochs run / "
-                f"{stats['epochs_skipped']:,d} skipped "
-                f"({stats['ff_jumps']:,d} jumps, {demoted:,d} demoted)")
-        elif cell["feature"] == "resilience":
+        if cell["feature"] == "resilience":
             lines.append(
                 f"{'':<16s} {stats['requests']:>12,d} requests, "
                 f"{stats['hedges_fired']:,d} hedges, "

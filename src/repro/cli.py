@@ -12,10 +12,12 @@ Experiments: ``fig3 fig4 fig5 fig6 fig8 table3 table4 sec7 all``; the
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
-from typing import Callable, Dict
+from typing import Callable, Dict, NoReturn
 
+from repro.errors import ConfigError
 from repro.sim.parallel import SweepPoint, SweepSpec, resolve_jobs, run_sweep
 
 from repro.experiments import (
@@ -222,8 +224,27 @@ def _run_cached(name: str, args: argparse.Namespace) -> str:
     return output
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports bad input as one ``repro: error: ...`` line (exit 2)."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _positive(kind: type) -> Callable[[str], float]:
+    """An argparse type accepting only finite values > 0 of ``kind``."""
+    def parse(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(
+                f"must be a positive number, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__      # "invalid int value: ..."
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Regenerate tables/figures of 'Demystifying a CXL "
                     "Type-2 Device' (MICRO 2024) from the simulator.",
@@ -231,9 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("experiment",
                         choices=sorted(RUNNERS) + ["all"],
                         help="which table/figure to regenerate")
-    parser.add_argument("--reps", type=int, default=20,
+    parser.add_argument("--reps", type=_positive(int), default=20,
                         help="microbenchmark repetitions (default 20)")
-    parser.add_argument("--duration-ms", type=float, default=300.0,
+    parser.add_argument("--duration-ms", type=_positive(float), default=300.0,
                         help="fig8/sec7 simulated duration per cell")
     parser.add_argument("--workloads", nargs="+", default=["a"],
                         choices=["a", "b", "c", "d"],
@@ -246,13 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", default=None,
                         help="report: write markdown to this file; "
                              "speed: write BENCH_speed.json here")
-    parser.add_argument("--rounds", type=int, default=3,
+    parser.add_argument("--rounds", type=_positive(int), default=3,
                         help="speed: benchmark repetitions (best-of)")
-    parser.add_argument("--requests", type=int, default=5_000_000,
+    parser.add_argument("--requests", type=_positive(int), default=5_000_000,
                         help="ext_scale: total requests to drive")
-    parser.add_argument("--hosts", type=int, default=16,
+    parser.add_argument("--hosts", type=_positive(int), default=16,
                         help="ext_rack: simulated hosts in the rack")
-    parser.add_argument("--users", type=int, default=10_000_000,
+    parser.add_argument("--users", type=_positive(int), default=10_000_000,
                         help="ext_rack: simulated users to shard")
     parser.add_argument("--compare-exact", action="store_true",
                         help="ext_scale: shadow-run with exact stats and "
@@ -300,7 +321,17 @@ def main(argv=None) -> int:
         # before the experiment parser sees (and rejects) it.
         from repro.lint.cli import main as lint_main
         return lint_main(argv[1:])
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return _main(args)
+    except ConfigError as exc:
+        # Bad input (a malformed --fault-plan, say) is a usage error;
+        # faults raised mid-simulation keep their traceback.
+        parser.error(str(exc))
+
+
+def _main(args: argparse.Namespace) -> int:
     args.jobs = resolve_jobs(args.jobs)
     if args.checkpoint is not None:
         from repro.sim.checkpoint import set_checkpoint

@@ -54,7 +54,7 @@ class RackCell:
     name: str
     stats: Dict[str, float]
     rss_kb: Tuple[int, ...]
-    #: Per-run fabric/fast-forward counter delta (stderr telemetry only;
+    #: Per-run fabric counter delta (stderr telemetry only;
     #: the stdout table never includes it).
     fabric_stats: Dict[str, int] = None  # type: ignore[assignment]
 
@@ -171,12 +171,7 @@ def format_rss_trace(report: RackReport) -> str:
                        f"samples (growth {cell.rss_growth:.3f}x)")
         fs = cell.fabric_stats
         if fs:
-            demoted = (fs["demoted_inflight"] + fs["demoted_backlog"]
-                       + fs["demoted_directives"] + fs["demoted_kill"])
             out.append(
-                f"{cell.name}: fabric epochs {fs['epochs_run']:,d} run "
-                f"/ {fs['epochs_skipped']:,d} skipped "
-                f"({fs['ff_jumps']:,d} jumps, {demoted:,d} demoted); "
-                f"{fs['wires']:,d} wires ({fs['frames']:,d} framed, "
-                f"{fs['framed_bytes']:,d} B), {fs['bounces']:,d} bounces")
+                f"{cell.name}: fabric epochs {fs['epochs_run']:,d} run; "
+                f"{fs['wires']:,d} wires, {fs['bounces']:,d} bounces")
     return "\n".join(out)

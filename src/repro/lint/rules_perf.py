@@ -255,59 +255,6 @@ def check_perf405(module: LintModule) -> Iterator[Finding]:
             )
 
 
-#: Identifiers whose presence inside an epoch loop shows it consults a
-#: quiescence signal (shard idle horizons, the coordinator's pending
-#: count, or the fast-forward machinery itself).
-_PERF406_MARKERS = frozenset((
-    "horizon", "idle_ns", "idle_min", "in_flight", "fastforward",
-    "fast_forward", "ff_jumps", "epochs_skipped", "rack_ff_enabled",
-))
-
-
-def check_perf406(module: LintModule) -> Iterator[Finding]:
-    """PERF406: epoch loop polls an empty fabric every barrier.
-
-    A coordinator loop that both collects ``fabric.deliveries(...)``
-    and ``pool.step(...)``s its shards once per epoch pays a full
-    barrier even when every shard is idle and nothing is in flight —
-    exactly the empty 500 µs spins the quiescent-epoch fast-forward in
-    :func:`repro.rack.cluster.run_rack` exists to skip.  The loop is
-    clean when it consults a quiescence signal anywhere in its body:
-    the shards' ``idle_ns`` horizons, ``Fabric.in_flight``,
-    ``Simulator.horizon()``, or the fast-forward gate itself.  A
-    coordinator that genuinely must step every epoch (e.g. a lockstep
-    trace comparator) should carry ``# reprolint: disable=PERF406``
-    with a comment saying why.
-    """
-    for node in ast.walk(module.tree):
-        if not isinstance(node, (ast.For, ast.While)):
-            continue
-        has_deliveries = has_step = quiescent = False
-        for sub in ast.walk(node):
-            if (isinstance(sub, ast.Call)
-                    and isinstance(sub.func, ast.Attribute)):
-                if sub.func.attr == "deliveries":
-                    has_deliveries = True
-                elif sub.func.attr == "step":
-                    has_step = True
-            if isinstance(sub, ast.Attribute) \
-                    and sub.attr in _PERF406_MARKERS:
-                quiescent = True
-            elif isinstance(sub, ast.Name) and sub.id in _PERF406_MARKERS:
-                quiescent = True
-        if has_deliveries and has_step and not quiescent:
-            yield Finding(
-                "PERF406", module.path, node.lineno, node.col_offset,
-                "epoch loop steps shards and drains fabric deliveries "
-                "without consulting a quiescence signal (idle_ns "
-                "horizons, Fabric.in_flight, Simulator.horizon()): "
-                "empty barriers spin at full cost — add a quiescent-"
-                "epoch fast-forward like repro.rack.cluster.run_rack, "
-                "or suppress with a comment if lockstep stepping is "
-                "load-bearing",
-            )
-
-
 RULES = [
     Rule("PERF401", "redundant call_soon around an Event trigger",
          check_perf401),
@@ -319,6 +266,4 @@ RULES = [
          check_perf404),
     Rule("PERF405", "per-request fabric wire in a serving loop",
          check_perf405),
-    Rule("PERF406", "epoch loop polling an empty fabric every barrier",
-         check_perf406),
 ]

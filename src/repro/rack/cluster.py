@@ -26,7 +26,6 @@ of ``--jobs``.  ``tests/rack/test_cluster.py`` pins this byte-exactly.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -45,28 +44,6 @@ from repro.sim.stats import StreamingLatencyStats
 #: Epochs the rack may keep running past the configured duration to
 #: drain in-flight fabric traffic and rebalance backlogs.
 DRAIN_EPOCH_LIMIT = 64
-
-_forced_ff: Optional[bool] = None
-
-
-def set_rack_ff(enabled: Optional[bool]) -> None:
-    """Force quiescent-epoch fast-forward on/off (None = env/default).
-    Coordinator-side only, so a forced value is honoured at any
-    ``--jobs`` (the fast-forward decision never runs in a worker)."""
-    global _forced_ff
-    if enabled not in (None, True, False):
-        raise ValueError(
-            f"set_rack_ff expects True/False/None, got {enabled!r}")
-    _forced_ff = enabled
-
-
-def rack_ff_enabled() -> bool:
-    """Fast-forward unless ``REPRO_RACK_FF=0`` (or a forced override)
-    pins legacy per-epoch stepping."""
-    if _forced_ff is not None:
-        return _forced_ff
-    return os.environ.get("REPRO_RACK_FF", "1").lower() \
-        not in ("0", "false", "off")
 
 
 @dataclass
@@ -95,8 +72,7 @@ class RackResult:
     store_keys: int
     finals: Tuple[FinalReport, ...]
     #: Per-run :data:`~repro.rack.fabric.FABRIC_STATS` delta: epochs
-    #: run/skipped, fast-forward jumps and demotions, wires, frames,
-    #: framed bytes, bounces.  Telemetry only — never part of stdout.
+    #: run, wires, bounces.  Telemetry only — never part of stdout.
     fabric_stats: Dict[str, int] = field(default_factory=dict)
 
     def stats(self) -> Dict[str, float]:
@@ -167,12 +143,7 @@ def run_rack(cfg: RackConfig, jobs=None, probe=None,
     duration = cfg.duration_ns
     n_epochs = int(math.ceil(duration / epoch_ns))
     fabric = Fabric(cfg.fabric)
-    ff = rack_ff_enabled()
     stats_before = FABRIC_STATS.snapshot()
-    # Epoch containing the armed kill instant: fast-forward must never
-    # jump past it while the fault can still fire.
-    kill_epoch = (None if cfg.kill is None
-                  else int(cfg.kill_at_ns // epoch_ns))
 
     alive = set(sids)
     retired: set = set()
@@ -248,44 +219,6 @@ def run_rack(cfg: RackConfig, jobs=None, probe=None,
                     f"rack failed to drain within {DRAIN_EPOCH_LIMIT} "
                     f"epochs past the run ({fabric.in_flight} wires, "
                     f"backlog {backlog})")
-
-            # Quiescent-epoch fast-forward (docs/RACK.md): every shard
-            # reported its next work instant; if the earliest one lies
-            # epochs away and nothing is queued on the coordinator, jump
-            # the rack clock straight to its epoch.  Horizons are lower
-            # bounds, so a pessimistic report only shortens the jump —
-            # it never skips work.  The clock lands exactly on an epoch
-            # boundary the legacy loop would have reached, so the
-            # trajectory is unchanged.
-            if ff and not done_load:
-                idle_min = min(reports[sid].idle_ns for sid in sids)
-                target = (n_epochs if idle_min == float("inf")
-                          else min(int(idle_min // epoch_ns), n_epochs))
-                uncapped_skip = target - epoch
-                if kill_epoch is not None and killed is None:
-                    target = min(target, kill_epoch)
-                skip = target - epoch
-                if skip > 0:
-                    # Idle horizons alone don't make an epoch skippable:
-                    # in-flight wires, shard backlogs, and queued
-                    # directives all need per-epoch stepping.  Demote.
-                    if fabric.in_flight:
-                        FABRIC_STATS.demoted_inflight += 1
-                    elif backlog:
-                        FABRIC_STATS.demoted_backlog += 1
-                    elif any(directives[s] for s in sids):
-                        FABRIC_STATS.demoted_directives += 1
-                    else:
-                        epoch = target
-                        FABRIC_STATS.epochs_skipped += skip
-                        FABRIC_STATS.ff_jumps += 1
-                        if epoch >= n_epochs:
-                            # Eligibility implied drained; jumping to
-                            # n_epochs ends the run with the same
-                            # ``epochs`` stat the legacy loop reports.
-                            break
-                elif uncapped_skip > 0:
-                    FABRIC_STATS.demoted_kill += 1
 
         finals = pool.step({sid: {"op": "finalize"} for sid in sids})
 

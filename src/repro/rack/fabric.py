@@ -20,57 +20,33 @@ Batching: :meth:`FabricPort.send_bulk` puts a whole per-destination
 batch on one wire (one header, ``item_bytes`` per record).  Issuing one
 wire per request inside the serving loop is the shape lint rule PERF405
 flags — see docs/LINT.md.
-
-Framing: with the packed codec (default; ``REPRO_WIRE_CODEC=0`` pins
-the legacy tuple payloads) a wire carries one ``struct``-packed
-columnar frame — fixed-width lanes per field, migration value blobs
-deduplicated through the page-store content hash — instead of a tuple
-of per-item Python objects.  Crossing a process boundary then pickles
-one ``bytes`` object per wire rather than every record; decode is lazy
-and reproduces the exact tuples the legacy payload would have carried,
-so the codec is invisible to the trajectory (``nbytes``, the *modelled*
-wire size, never depends on it).  docs/RACK.md#epoch-fast-forward--wire-framing
-has the determinism contract.
 """
 
 from __future__ import annotations
 
-import os
-import struct
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-from repro.kernel.workcache import cached_xxhash32
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 
 class FabricStats:
-    """Coordinator-side fabric counters (mirrors ``WHEEL_STATS``).
+    """Coordinator-side fabric counters.
 
     Process-global and cumulative; :func:`repro.rack.cluster.run_rack`
     snapshots before/after to report per-run deltas.  Everything here
     is measured on the coordinator, so the numbers are identical at any
-    ``--jobs``.
+    ``--jobs``.  The fast-forward counters (epochs skipped, jumps,
+    demotions) and the packed-codec counters (frames, framed bytes)
+    were removed together with those accelerators.
     """
 
-    __slots__ = ("epochs_run", "epochs_skipped", "ff_jumps",
-                 "demoted_inflight", "demoted_backlog",
-                 "demoted_directives", "demoted_kill",
-                 "wires", "frames", "framed_bytes", "bounces")
+    __slots__ = ("epochs_run", "wires", "bounces")
 
     def __init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:
-        self.epochs_run = 0        # epochs actually stepped
-        self.epochs_skipped = 0    # epochs fast-forwarded over
-        self.ff_jumps = 0          # distinct fast-forward jumps
-        self.demoted_inflight = 0  # idle but wires still in flight
-        self.demoted_backlog = 0   # idle but shard backlog pending
-        self.demoted_directives = 0  # idle but directives queued
-        self.demoted_kill = 0      # jump clamped by an armed kill plan
+        self.epochs_run = 0        # epochs stepped
         self.wires = 0             # wires routed through Fabric.push
-        self.frames = 0            # of which packed-codec frames
-        self.framed_bytes = 0      # actual frame bytes routed
         self.bounces = 0           # NACK bounces off retired hosts
 
     def snapshot(self) -> dict:
@@ -78,31 +54,6 @@ class FabricStats:
 
 
 FABRIC_STATS = FabricStats()
-
-_forced_codec: Optional[bool] = None
-
-
-def set_wire_codec(enabled: Optional[bool]) -> None:
-    """Force the packed wire codec on/off (None = env/default).  Takes
-    effect for subsequently constructed :class:`FabricPort` instances —
-    the speed harness toggles it between cells.  Forced values do not
-    cross process boundaries; spawned shard workers read the
-    environment, so cross-worker tests must set ``REPRO_WIRE_CODEC``."""
-    global _forced_codec
-    if enabled not in (None, True, False):
-        raise ValueError(
-            f"set_wire_codec expects True/False/None, got {enabled!r}")
-    _forced_codec = enabled
-
-
-def wire_codec_enabled() -> bool:
-    """Packed columnar frames unless ``REPRO_WIRE_CODEC=0`` (or a forced
-    override) pins the legacy per-item tuple payloads."""
-    if _forced_codec is not None:
-        return _forced_codec
-    return os.environ.get("REPRO_WIRE_CODEC", "1").lower() \
-        not in ("0", "false", "off")
-
 
 @dataclass(frozen=True)
 class FabricConfig:
@@ -152,149 +103,6 @@ class Wire:
         return len(self.payload)
 
 
-def _encode_frame(kind: str, items: Sequence[Tuple]) -> bytes:
-    """Pack a batch into one columnar frame.
-
-    req/rep/nack items are flat ``(int, float, ...)`` tuples; the frame
-    is self-describing — ``<I n`` · ``<B arity`` · one ``<{n}q`` id lane
-    · ``arity - 1`` lanes of ``<{n}d`` — so req (user, issue), rep
-    (user, issue, completion) and nack all share one format (which is
-    what lets :meth:`Fabric.bounce` reuse a req frame verbatim).
-    migrate carries bucket / cursor / record-count lanes, then one key +
-    blob-index lane per record, then a deduplicated blob table
-    (identical page images — the common case for replayed migrations —
-    are stored once, looked up by the page-store content hash with an
-    equality chain on collision).
-    """
-    n = len(items)
-    if kind == "migrate":
-        buckets: List[int] = []
-        cursors: List[int] = []
-        reccounts: List[int] = []
-        keys: List[int] = []
-        blob_idx: List[int] = []
-        blobs: List[bytes] = []
-        chains: Dict[int, List[int]] = {}
-        for bucket, cursor, records in items:
-            buckets.append(bucket)
-            cursors.append(cursor)
-            reccounts.append(len(records))
-            for key, value in records:
-                keys.append(key)
-                chain = chains.setdefault(cached_xxhash32(value), [])
-                for bi in chain:
-                    if blobs[bi] == value:
-                        break
-                else:
-                    bi = len(blobs)
-                    blobs.append(value)
-                    chain.append(bi)
-                blob_idx.append(bi)
-        m = len(keys)
-        parts = [struct.pack(f"<II{n}q{n}q{n}I{m}q{m}II", n, m,
-                             *buckets, *cursors, *reccounts,
-                             *keys, *blob_idx, len(blobs))]
-        for blob in blobs:
-            parts.append(struct.pack("<I", len(blob)))
-            parts.append(blob)
-        return b"".join(parts)
-    if not n:
-        return struct.pack("<IB", 0, 0)
-    lanes = tuple(zip(*items))
-    arity = len(lanes)
-    parts = [struct.pack(f"<IB{n}q", n, arity, *lanes[0])]
-    for lane in lanes[1:]:
-        parts.append(struct.pack(f"<{n}d", *lane))
-    return b"".join(parts)
-
-
-def _decode_frame(kind: str, frame: bytes) -> Tuple:
-    """Inverse of :func:`_encode_frame`; reproduces the exact tuple
-    payload the legacy codec would have carried (python ints/floats)."""
-    if kind == "migrate":
-        n, m = struct.unpack_from("<II", frame, 0)
-        off = 8
-        buckets = struct.unpack_from(f"<{n}q", frame, off)
-        off += 8 * n
-        cursors = struct.unpack_from(f"<{n}q", frame, off)
-        off += 8 * n
-        reccounts = struct.unpack_from(f"<{n}I", frame, off)
-        off += 4 * n
-        keys = struct.unpack_from(f"<{m}q", frame, off)
-        off += 8 * m
-        blob_idx = struct.unpack_from(f"<{m}I", frame, off)
-        off += 4 * m
-        (n_blobs,) = struct.unpack_from("<I", frame, off)
-        off += 4
-        blobs: List[bytes] = []
-        for _ in range(n_blobs):
-            (ln,) = struct.unpack_from("<I", frame, off)
-            off += 4
-            blobs.append(frame[off:off + ln])
-            off += ln
-        items = []
-        r = 0
-        for i in range(n):
-            rc = reccounts[i]
-            items.append((buckets[i], cursors[i],
-                          tuple((keys[r + j], blobs[blob_idx[r + j]])
-                                for j in range(rc))))
-            r += rc
-        return tuple(items)
-    n, arity = struct.unpack_from("<IB", frame, 0)
-    if not n:
-        return ()
-    off = 5
-    lanes = [struct.unpack_from(f"<{n}q", frame, off)]
-    off += 8 * n
-    for _ in range(1, arity):
-        lanes.append(struct.unpack_from(f"<{n}d", frame, off))
-        off += 8 * n
-    return tuple(zip(*lanes))
-
-
-class PackedWire:
-    """Codec counterpart of :class:`Wire`: identical routing header,
-    payload held as one struct-packed frame.  Pickling ships only the
-    frame (``__reduce__`` drops the decode cache); ``payload`` decodes
-    lazily on first access, in-process and cross-process alike, so
-    ``--jobs 1`` and ``--jobs N`` execute the same code path.  ``nbytes``
-    remains the *modelled* wire size — the frame's actual length never
-    feeds back into arrival times."""
-
-    __slots__ = ("src", "dst", "kind", "send_ns", "seq", "nbytes",
-                 "count", "frame", "_items")
-
-    def __init__(self, src: int, dst: int, kind: str, send_ns: float,
-                 seq: int, nbytes: int, count: int, frame: bytes):
-        self.src = src
-        self.dst = dst
-        self.kind = kind
-        self.send_ns = send_ns
-        self.seq = seq
-        self.nbytes = nbytes
-        self.count = count
-        self.frame = frame
-        self._items: Optional[Tuple] = None
-
-    @property
-    def payload(self) -> Tuple:
-        items = self._items
-        if items is None:
-            items = self._items = _decode_frame(self.kind, self.frame)
-        return items
-
-    def __reduce__(self):
-        return (PackedWire, (self.src, self.dst, self.kind, self.send_ns,
-                             self.seq, self.nbytes, self.count, self.frame))
-
-    def __repr__(self) -> str:
-        return (f"PackedWire(src={self.src}, dst={self.dst}, "
-                f"kind={self.kind!r}, send_ns={self.send_ns}, "
-                f"seq={self.seq}, nbytes={self.nbytes}, "
-                f"count={self.count})")
-
-
 class FabricPort:
     """A shard's transmit side: sequences and frames outbound wires."""
 
@@ -303,7 +111,6 @@ class FabricPort:
         self.cfg = cfg
         self._seq = 0
         self._out: List[Wire] = []
-        self._packed = wire_codec_enabled()
         self.sent_wires = 0
         self.sent_items = 0
         self.sent_bytes = 0
@@ -314,12 +121,8 @@ class FabricPort:
         if dst == self.sid:
             raise ValueError(f"shard {self.sid} sending to itself")
         nbytes = self.cfg.header_bytes + len(items) * self.cfg.item_bytes
-        if self._packed:
-            wire = PackedWire(self.sid, dst, kind, send_ns, self._seq,
-                              nbytes, len(items), _encode_frame(kind, items))
-        else:
-            wire = Wire(self.sid, dst, kind, send_ns, self._seq, nbytes,
-                        tuple(items))
+        wire = Wire(self.sid, dst, kind, send_ns, self._seq, nbytes,
+                    tuple(items))
         self._seq += 1
         self._out.append(wire)
         self.sent_wires += 1
@@ -347,17 +150,12 @@ class Fabric:
 
     def push(self, wires: Iterable[Wire]) -> None:
         """Accept outbound wires (coordinator calls this in sid order)."""
-        stats = FABRIC_STATS
         for wire in wires:
             arrival = self.cfg.arrival_ns(wire.send_ns, wire.nbytes)
             self._pending.append((arrival, wire.src, wire.seq, wire))
             self.routed_wires += 1
             self.routed_bytes += wire.nbytes
-            stats.wires += 1
-            frame = getattr(wire, "frame", None)
-            if frame is not None:
-                stats.frames += 1
-                stats.framed_bytes += len(frame)
+            FABRIC_STATS.wires += 1
 
     def bounce(self, wire: Wire, now_ns: float) -> Wire:
         """NACK a wire whose destination is off the ring: the switch
@@ -367,16 +165,8 @@ class Fabric:
         come from a fabric-owned counter offset far above any port's own
         range, keeping ``(src, seq)`` unique."""
         nbytes = self.cfg.header_bytes + wire.count * self.cfg.item_bytes
-        frame = getattr(wire, "frame", None)
-        if frame is not None:
-            # req and nack share a frame format: reuse the encoded
-            # bytes, no decode/re-encode round-trip.
-            nack: Wire = PackedWire(wire.dst, wire.src, "nack", now_ns,
-                                    self._bounce_seq, nbytes, wire.count,
-                                    frame)
-        else:
-            nack = Wire(wire.dst, wire.src, "nack", now_ns, self._bounce_seq,
-                        nbytes, wire.payload)
+        nack = Wire(wire.dst, wire.src, "nack", now_ns, self._bounce_seq,
+                    nbytes, wire.payload)
         self._bounce_seq += 1
         self.bounced_wires += 1
         FABRIC_STATS.bounces += 1

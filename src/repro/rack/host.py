@@ -134,12 +134,6 @@ class EpochReport:
     dropped: int       # local arrivals lost to a dead link
     nacked: int        # inbound requests bounced while dead
     backlog: int       # buffered remote items + buckets awaiting migrate
-    #: Earliest ns at which this shard has local work: the next Poisson
-    #: arrival or the next platform-simulator timer, whichever is
-    #: sooner; ``inf`` when fully drained.  The coordinator's quiescent
-    #: fast-forward may skip every epoch strictly before
-    #: ``min(idle_ns)`` across shards (see docs/RACK.md).
-    idle_ns: float = float("inf")
 
 
 @dataclass
@@ -331,14 +325,6 @@ class ShardHost:
         self.platform.sim.run(until=t1)
         backlog = (len(self._retry_items) + len(self.pending_buckets)
                    + sum(len(v) for v in self._pending_remote.values()))
-        # Quiescence horizon: next local arrival (inf once the offered
-        # load is exhausted) vs the platform simulator's next pending
-        # event (armed faults live in its queue, so a scheduled kill
-        # always bounds the horizon).
-        next_arrival = self._next_arrival
-        if next_arrival >= self.cfg.duration_ns:
-            next_arrival = float("inf")
-        idle_ns = min(next_arrival, self.platform.sim.horizon())
         return EpochReport(
             sid=self.sid, epoch=epoch,
             health=self.engine.health.state.value,
@@ -349,7 +335,6 @@ class ShardHost:
             dropped=self.dropped - dropped_before,
             nacked=self.nacked - nacked_before,
             backlog=backlog,
-            idle_ns=idle_ns,
         )
 
     def _heartbeat(self, t1: float) -> None:

@@ -22,7 +22,7 @@ hedged requests (:meth:`ResiliencePolicy.offload_op`)
     backup fired after a hedge delay derived from the *observed* cxl
     completion P99 (streaming estimator; a floor covers the cold
     start).  First completion wins; the losing timer is cancelled
-    through the timer wheel, and an abandoned primary still reports its
+    (an O(1) tombstone), and an abandoned primary still reports its
     outcome to the breaker when it eventually resolves.
 
 :class:`AdmissionController`
@@ -546,7 +546,7 @@ class ResiliencePolicy:
         index, value = yield sim.any_of([primary.done, hedge.event])
         if index == 0:
             # Primary resolved inside the hedge window: cancel the
-            # loser through the timer wheel (O(1) tombstone).
+            # losing timer (O(1) tombstone).
             hedge.cancel()
             if not isinstance(value, _OpFailed):
                 return value

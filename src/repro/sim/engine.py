@@ -19,8 +19,7 @@ from typing import TYPE_CHECKING, Any, Callable, Deque, Generator, Iterable, Opt
 from collections import deque
 
 from repro.errors import SimulationError
-from repro.sim.timers import (WHEEL_STATS, Timer, TimerWheel,
-                              timers_reap_enabled, wheel_enabled)
+from repro.sim.timers import Timer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.races import RaceDetector
@@ -30,13 +29,6 @@ ProcessGen = Generator[Any, Any, Any]
 # Triggered events hand their (cleared) callback lists back to the
 # simulator for reuse; the cap bounds the memory kept across bursts.
 _CB_POOL_MAX = 128
-
-# Deadlines closer than this go to the wheel's exact-time near level;
-# farther ones take its hierarchy (see repro.sim.timers).
-_NEAR_SPAN_NS = 4096.0
-
-# Shared args tuple for the ubiquitous `fn(None)` resume entries.
-_NONE_ARGS = (None,)
 
 _heappush = heapq.heappush
 
@@ -311,30 +303,10 @@ class Process:
             # Dispatch inline, hottest commands first: a Timeout is the
             # single most common yield across every model, a plain Event
             # the second; exact-type tests beat isinstance chains and the
-            # slow path keeps subclasses working.  The near-window wheel
-            # insert is flattened right here — dict hit + append — since
-            # process timeouts dominate every model's schedule traffic.
+            # slow path keeps subclasses working.
             cls = command.__class__
             if cls is Timeout:
-                sim = self.sim
-                delay = command.delay
-                wheel = sim._wheel
-                if wheel is not None and 0.0 < delay < _NEAR_SPAN_NS:
-                    t = sim._now + delay
-                    sim._seq = seq = sim._seq + 1
-                    near = wheel.near
-                    b = near.get(t)
-                    if b is None:
-                        near[t] = [(t, seq, self._step, _NONE_ARGS)]
-                        _heappush(wheel.near_times, t)
-                    else:
-                        b.append((t, seq, self._step, _NONE_ARGS))
-                    wheel.count += 1
-                    if sim.race_detector is not None:
-                        sim.race_detector.note_schedule(seq,
-                                                        sim.current_task)
-                else:
-                    sim.schedule(delay, self._step, None)
+                self.sim.schedule(command.delay, self._step, None)
             elif cls is Event:
                 command.add_callback(self._step)
             elif cls is WakeAt:
@@ -389,19 +361,6 @@ class Simulator:
         self._now = 0.0
         self._seq = 0
         self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
-        # Timer carrier: a hierarchical wheel (repro.sim.timers) unless
-        # REPRO_TIMERS=heap pins the classic heap.  Sampled once per
-        # simulator; both carriers share _seq, so firing order — and
-        # therefore every output byte — is identical either way.
-        self._wheel: Optional[TimerWheel] = \
-            TimerWheel() if wheel_enabled() else None
-        # Tombstone reaping (repro.sim.timers): cancelled timers register
-        # their carrier key so compaction can drop them instead of
-        # replaying the pop.  The heap carrier keeps its dead-set and
-        # phantom horizon here; the wheel carries its own.
-        self._reap = timers_reap_enabled()
-        self._heap_dead: set = set()
-        self._dead_horizon = 0.0
         # Zero-delay callbacks at the current time, FIFO in seq order.
         # Invariant: entries are only drained at the timestamp they were
         # appended at — time cannot advance while the queue is non-empty.
@@ -425,13 +384,9 @@ class Simulator:
 
     @property
     def pending_count(self) -> int:
-        """Live entries across all queues (heap/wheel/delta), cancelled-
-        timer tombstones included."""
-        n = len(self._heap) + len(self._delta)
-        wheel = self._wheel
-        if wheel is not None:
-            n += len(wheel)
-        return n
+        """Live entries across both queues (heap/delta), cancelled-timer
+        tombstones included."""
+        return len(self._heap) + len(self._delta)
 
     @property
     def quiescent(self) -> bool:
@@ -473,11 +428,7 @@ class Simulator:
         if delay == 0.0:
             self._delta.append((seq, fn, args))
         else:
-            wheel = self._wheel
-            if wheel is None:
-                heapq.heappush(self._heap, (self._now + delay, seq, fn, args))
-            else:
-                wheel.insert(self._now + delay, seq, fn, args, self._now)
+            _heappush(self._heap, (self._now + delay, seq, fn, args))
         if self.race_detector is not None:
             self.race_detector.note_schedule(seq, self.current_task)
 
@@ -497,11 +448,7 @@ class Simulator:
         if at == self._now:
             self._delta.append((seq, fn, args))
         else:
-            wheel = self._wheel
-            if wheel is None:
-                heapq.heappush(self._heap, (at, seq, fn, args))
-            else:
-                wheel.insert(at, seq, fn, args, self._now)
+            _heappush(self._heap, (at, seq, fn, args))
         if self.race_detector is not None:
             self.race_detector.note_schedule(seq, self.current_task)
 
@@ -531,13 +478,8 @@ class Simulator:
         if delay == 0.0:
             self._delta.append((seq, ev.succeed, (value,)))
         else:
-            wheel = self._wheel
-            if wheel is None:
-                heapq.heappush(self._heap,
-                               (self._now + delay, seq, ev.succeed, (value,)))
-            else:
-                wheel.insert(self._now + delay, seq, ev.succeed, (value,),
-                             self._now)
+            _heappush(self._heap,
+                      (self._now + delay, seq, ev.succeed, (value,)))
         if self.race_detector is not None:
             self.race_detector.note_schedule(seq, self.current_task)
         return ev
@@ -550,107 +492,14 @@ class Simulator:
         Cancel is O(1) and lazy — the tombstoned entry still pops at its
         ``(time, seq)`` slot without triggering, so the clock's
         trajectory (and every output byte) is identical whether or not
-        a timer was cancelled via the wheel or the heap carrier.  Use
-        this for timeout races that usually *don't* fire (doorbell
-        completion waits, RAS watchdogs): the skipped trigger saves the
-        dead event delivery that ``timeout_event`` would still pay.
-
-        With reaping enabled (the default) the handle also remembers its
-        carrier ``(time, seq)`` key, so a cancel can note the tombstone
-        for compaction — see :meth:`_note_timer_cancel`.
+        the timer was cancelled.  Use this for timeout races that
+        usually *don't* fire (doorbell completion waits, RAS watchdogs):
+        the skipped trigger saves the dead event delivery that
+        ``timeout_event`` would still pay.
         """
-        if not self._reap or delay <= 0.0:
-            # Legacy path (REPRO_TIMERS_REAP=0 kill switch): eager event,
-            # lazy tombstone pop, no registration.
-            handle = Timer(Event(self, name="timer"))
-            self.schedule(delay, handle._fire, value)
-            return handle
-        handle = Timer(None, self)
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past: {delay}")
-        self._seq = seq = self._seq + 1
-        t = self._now + delay
-        key = (t, seq)
-        wheel = self._wheel
-        if wheel is None:
-            heapq.heappush(self._heap, (t, seq, handle._fire, (value,)))
-        else:
-            # Stage rather than insert: refill flushes the nursery
-            # before handing out any bucket at or past ``t``, and a
-            # cancel that beats the flush skips the wheel entirely.
-            wheel.nursery[key] = (t, seq, handle._fire, (value,))
-            wheel.count += 1
-            if t < wheel.nursery_min:
-                wheel.nursery_min = t
-        if self.race_detector is not None:
-            self.race_detector.note_schedule(seq, self.current_task)
-        handle._key = key
+        handle = Timer(self)
+        self.schedule(delay, handle._fire, value)
         return handle
-
-    # -- tombstone reaping -------------------------------------------------
-    # Cancel-side bookkeeping lives inline in Timer.cancel (the hot
-    # path); the heap-carrier sweep lives here because the heap is the
-    # simulator's own structure.
-
-    def _reap_heap(self) -> int:
-        """Compact tombstoned entries out of the heap carrier; returns
-        the number removed.  Mutates ``self._heap`` in place so the
-        local binding a running :meth:`run` loop holds stays valid."""
-        dead = self._heap_dead
-        if not dead:
-            return 0
-        heap = self._heap
-        kept = []
-        horizon = self._dead_horizon
-        removed = 0
-        for entry in heap:
-            if (entry[0], entry[1]) in dead:
-                dead.discard((entry[0], entry[1]))
-                removed += 1
-                if entry[0] > horizon:
-                    horizon = entry[0]
-            else:
-                kept.append(entry)
-        if not removed:
-            return 0
-        heap[:] = kept
-        heapq.heapify(heap)
-        self._dead_horizon = horizon
-        stats = WHEEL_STATS
-        stats.reaped += removed
-        stats.reap_sweeps += 1
-        return removed
-
-    def horizon(self) -> float:
-        """Earliest pending live timestamp, or ``+inf`` when idle.
-
-        Pending zero-delay work reads as ``now``.  Tombstones are
-        compacted first so a cancelled watchdog cannot pin the horizon —
-        the rack fast-forward eligibility check depends on this: a
-        per-epoch heartbeat leaves one tombstone behind every window,
-        and without the sweep the rack could never look idle."""
-        if self._delta:
-            return self._now
-        wheel = self._wheel
-        if wheel is not None:
-            if wheel.dead:
-                wheel.reap()
-            if wheel.ready:
-                return wheel.ready_time
-            nxt = wheel._far_next
-            near_times = wheel.near_times
-            if near_times and near_times[0] < nxt:
-                nxt = near_times[0]
-            # nursery_min is a (possibly stale-low) lower bound on the
-            # staged deadlines — a pessimistic horizon is safe: callers
-            # (the rack fast-forward) just jump a little shorter.
-            if wheel.nursery and wheel.nursery_min < nxt:
-                nxt = wheel.nursery_min
-            return nxt
-        if self._heap_dead:
-            self._reap_heap()
-        heap = self._heap
-        return heap[0][0] if heap else float("inf")
 
     def spawn(self, gen: ProcessGen, name: str = "") -> Process:
         """Start a process; it takes its first step at the current time."""
@@ -670,10 +519,7 @@ class Simulator:
         # Hot loop: heap/delta/heappop bound locally, and the armed state
         # is sampled once — arm sanitizers *before* calling run() (every
         # Platform path does).  The disarmed loop carries no per-event
-        # race-detector probe at all.  Each timer carrier (wheel / heap)
-        # gets its own specialized pair of loops.
-        if self._wheel is not None:
-            return self._run_wheel(until)
+        # race-detector probe at all.
         heap = self._heap
         delta = self._delta
         heappop = heapq.heappop
@@ -719,86 +565,8 @@ class Simulator:
                 self.current_actor = owner if isinstance(owner, Process) \
                     else fn
                 fn(*args)
-        if until is not None:
-            if until > self._now:
-                self._now = until
-        elif self._dead_horizon > self._now:
-            # Phantom horizon: reaped tombstones would have popped (and
-            # advanced the clock) before the queues drained; land on the
-            # same final reading the lazy pops would have produced.
-            self._now = self._dead_horizon
-        return self._now
-
-    def _run_wheel(self, until: Optional[float]) -> float:
-        """The :meth:`run` loops for the timer-wheel carrier.
-
-        Merge rule (provably the same order the heap loops produce): the
-        ``ready`` bucket holds every live entry of one timestamp, all
-        scheduled strictly before the clock reached it — so when its
-        timestamp equals ``now``, every bucket entry's seq is smaller
-        than any delta entry's (delta work at ``now`` was enqueued while
-        draining) and the bucket drains first; when the bucket timestamp
-        is in the future, pending delta work at ``now`` drains first.
-        No per-event seq comparison is needed; the structure *is* the
-        order.
-        """
-        wheel = self._wheel
-        delta = self._delta
-        ready = wheel.ready
-        if self.race_detector is None:
-            while True:
-                if ready:
-                    t = wheel.ready_time
-                    if not delta or t == self._now:
-                        if until is not None and t > until:
-                            break
-                        e = ready.pop()
-                        self._now = t
-                        e[2](*e[3])
-                        continue
-                if delta:
-                    if until is not None and self._now > until:
-                        break
-                    entry = delta.popleft()
-                    entry[1](*entry[2])
-                elif wheel.count:
-                    wheel.refill(self._now)
-                    ready = wheel.ready
-                else:
-                    break
-        else:
-            while True:
-                if ready and (not delta or wheel.ready_time == self._now):
-                    t = wheel.ready_time
-                    if until is not None and t > until:
-                        break
-                    at, seq, fn, args = ready.pop()
-                    self._now = at
-                elif delta:
-                    if until is not None and self._now > until:
-                        break
-                    seq, fn, args = delta.popleft()
-                elif wheel.count:
-                    wheel.refill(self._now)
-                    ready = wheel.ready
-                    continue
-                else:
-                    break
-                self.current_task = seq
-                owner = getattr(fn, "__self__", None)
-                self.current_actor = owner if isinstance(owner, Process) \
-                    else fn
-                fn(*args)
-        # A bounded run may break with a refilled bucket still unfired
-        # (its timestamp past ``until``); hand it back so timers the
-        # caller schedules before the next run can fire ahead of it.
-        wheel.unready()
-        if until is not None:
-            if until > self._now:
-                self._now = until
-        elif wheel.dead_horizon > self._now:
-            # Same phantom-horizon fold as the heap loops (see run()).
-            self._now = wheel.dead_horizon
+        if until is not None and until > self._now:
+            self._now = until
         return self._now
 
     def run_process(self, gen: ProcessGen, name: str = "") -> Any:

@@ -726,70 +726,6 @@ def test_perf405_suppressible(tmp_path):
     assert rules == []
 
 
-# -- PERF406: epoch loop polling an empty fabric -----------------------------
-
-
-def test_perf406_flags_blind_epoch_loop(tmp_path):
-    rules = lint_source(tmp_path, """
-        def run(fabric, pool, sids, n_epochs, epoch_ns):
-            for epoch in range(n_epochs):
-                t0 = epoch * epoch_ns
-                delivered = fabric.deliveries(t0, t0 + epoch_ns)
-                reports = pool.step({s: delivered.get(s, ()) for s in sids})
-                for sid in sids:
-                    fabric.push(reports[sid].outbox)
-    """, select=["PERF406"])
-    assert rules == ["PERF406"]
-
-
-def test_perf406_allows_quiescence_aware_loop(tmp_path):
-    """Consulting any quiescence signal — here the shards' idle
-    horizons and the fabric's pending count — is the fast-forward
-    shape the rule steers toward."""
-    rules = lint_source(tmp_path, """
-        def run(fabric, pool, sids, n_epochs, epoch_ns):
-            epoch = 0
-            while epoch < n_epochs:
-                t0 = epoch * epoch_ns
-                delivered = fabric.deliveries(t0, t0 + epoch_ns)
-                reports = pool.step({s: delivered.get(s, ()) for s in sids})
-                epoch += 1
-                idle_min = min(r.idle_ns for r in reports.values())
-                if fabric.in_flight == 0 and idle_min > t0 + epoch_ns:
-                    epoch = min(int(idle_min // epoch_ns), n_epochs)
-    """, select=["PERF406"])
-    assert rules == []
-
-
-def test_perf406_allows_loops_without_both_halves(tmp_path):
-    """Stepping without delivering (or vice versa) is not an epoch
-    barrier; the rule needs both to fire."""
-    rules = lint_source(tmp_path, """
-        def drain(fabric, t1):
-            out = []
-            for t0 in range(0, int(t1), 500):
-                out.append(fabric.deliveries(float(t0), float(t0) + 500.0))
-            return out
-
-        def advance(pool, payloads):
-            for payload in payloads:
-                pool.step(payload)
-    """, select=["PERF406"])
-    assert rules == []
-
-
-def test_perf406_suppressible(tmp_path):
-    rules = lint_source(tmp_path, """
-        def lockstep(fabric, pool, sids, n_epochs, epoch_ns):
-            # Trace comparator: every epoch must step to diff traces.
-            for epoch in range(n_epochs):  # reprolint: disable=PERF406
-                t0 = epoch * epoch_ns
-                delivered = fabric.deliveries(t0, t0 + epoch_ns)
-                pool.step({s: delivered.get(s, ()) for s in sids})
-    """, select=["PERF406"])
-    assert rules == []
-
-
 def test_perf404_suppressible(tmp_path):
     rules = lint_source(tmp_path, """
         from repro.core.platform import Platform

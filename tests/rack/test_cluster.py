@@ -80,3 +80,51 @@ def test_disarmed_kill_plan_is_byte_identical_to_no_plan(serial_result):
     armed = run_rack(cfg, jobs=1)
     assert armed.killed is None and armed.rebalances == 0
     assert armed.stats() == serial_result.stats()
+
+
+#: ``stats()`` of the small rack (``serial_result``'s config), captured
+#: before the epoch loop lost its fast-forward and the fabric its packed
+#: wire codec: the per-epoch loop and tuple payloads must reproduce it
+#: byte for byte.
+PINNED_STATS = {
+    "hosts": 4, "users": 2000, "requests": 2200, "served": 2225,
+    "dropped": 0, "nacked": 0, "distinct_users": 2000, "epochs": 7,
+    "rebalances": 0, "migrated_records": 0, "remote_sent": 85,
+    "remote_served": 85, "breaker_trips": 0, "routed_wires": 62,
+    "bounced_wires": 0, "store_evictions": 0, "store_keys": 1012,
+    "p50_us": 12.500474553179254, "p99_us": 1927.015067385704,
+    "mean_us": 78.32397182736544,
+    "avail_0": 198, "avail_1": 239, "avail_2": 236, "avail_3": 204,
+    "avail_4": 224, "avail_5": 223, "avail_6": 214, "avail_7": 221,
+    "avail_8": 179, "avail_9": 287,
+}
+
+#: The same capture for a twice-as-large rack whose host 1 is killed at
+#: 40 % of the run: bounces, breaker trips, and migration wires all flow.
+PINNED_KILL_STATS = {
+    "hosts": 4, "users": 4000, "requests": 4400, "served": 3989,
+    "dropped": 233, "nacked": 24, "distinct_users": 3530, "epochs": 12,
+    "rebalances": 1, "migrated_records": 327, "remote_sent": 176,
+    "remote_served": 143, "breaker_trips": 3, "routed_wires": 117,
+    "bounced_wires": 2, "store_evictions": 0, "store_keys": 1823,
+    "p50_us": 12.149896292570316, "p99_us": 2758.9639123284205,
+    "mean_us": 85.64187877478727,
+    "avail_0": 438, "avail_1": 441, "avail_2": 443, "avail_3": 442,
+    "avail_4": 379, "avail_5": 303, "avail_6": 302, "avail_7": 301,
+    "avail_8": 397, "avail_9": 543,
+}
+
+
+def test_small_rack_stats_match_pinned_reference(serial_result):
+    assert serial_result.stats() == PINNED_STATS
+    assert serial_result.fabric_stats == {
+        "epochs_run": 7, "wires": 62, "bounces": 0}
+
+
+def test_small_rack_stats_match_pinned_reference_with_kill_firing():
+    cfg = RackConfig(hosts=HOSTS, users=2 * USERS, seed=42, kill=(1, 0.4))
+    result = run_rack(cfg, jobs=1)
+    assert result.killed == 1
+    assert result.stats() == PINNED_KILL_STATS
+    assert result.fabric_stats == {
+        "epochs_run": 12, "wires": 117, "bounces": 2}

@@ -1,7 +1,7 @@
 """Forked-vs-cold equivalence: the checkpoint determinism contract.
 
-Pinned exactly the way bulk off/on and wheel off/on are pinned: for
-every experiment that declares a :class:`~repro.sim.parallel.ForkSpec`,
+Pinned exactly the way bulk off/on is pinned: for every experiment that
+declares a :class:`~repro.sim.parallel.ForkSpec`,
 the formatted output of a checkpoint-forked sweep must be **byte
 identical** to the cold path that replays the warm-up per point — at
 any worker count, with RAS fault plans armed or disarmed, and with the

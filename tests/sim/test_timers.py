@@ -1,121 +1,15 @@
-"""Hierarchical timer wheel: structure, cancellation, and heap parity.
+"""Cancellable timers: lazy cancellation on the engine's heap.
 
-The wheel (repro.sim.timers) is a pure performance structure — its
-contract is that no observable ordering changes against the classic
-heap.  These tests cover the wheel's own mechanics (near/far/overflow
-routing, cascades, tombstones); the byte-for-byte replay property lives
-in tests/sim/test_engine_order.py next to the ordering spec it extends.
+A cancelled :class:`~repro.sim.timers.Timer` stays a tombstone that
+still pops at its ``(time, seq)`` slot and merely skips its trigger, so
+the clock trajectory never depends on whether a watchdog was cancelled.
+The engine's ordering spec lives in tests/sim/test_engine_order.py.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.sim.engine import Simulator, Timeout
-from repro.sim.timers import (LEVEL_SHIFTS, NEAR_SPAN_NS, TimerWheel,
-                              set_timers, timers_mode, wheel_enabled)
-
-
-@pytest.fixture(autouse=True)
-def _restore_timer_mode():
-    yield
-    set_timers(None)
-
-
-# ---------------------------------------------------------------------------
-# Mode plumbing
-# ---------------------------------------------------------------------------
-
-
-def test_mode_switch_controls_simulator_structure():
-    set_timers("heap")
-    assert timers_mode() == "heap" and not wheel_enabled()
-    assert Simulator()._wheel is None
-    set_timers("wheel")
-    assert Simulator()._wheel is not None
-    with pytest.raises(ValueError):
-        set_timers("calendar")
-
-
-def test_env_default_is_wheel(monkeypatch):
-    set_timers(None)
-    monkeypatch.delenv("REPRO_TIMERS", raising=False)
-    assert timers_mode() == "wheel"
-    monkeypatch.setenv("REPRO_TIMERS", "heap")
-    assert timers_mode() == "heap"
-    monkeypatch.setenv("REPRO_TIMERS", "0")
-    assert timers_mode() == "heap"
-
-
-# ---------------------------------------------------------------------------
-# Wheel structure: routing and cascades
-# ---------------------------------------------------------------------------
-
-
-def _drain(wheel):
-    """Pop every entry in engine order: (time, seq) ascending."""
-    out = []
-    while len(wheel):
-        if not wheel.ready:
-            wheel.refill()
-        while wheel.ready:
-            e = wheel.ready.pop()
-            out.append((e[0], e[1]))
-    return out
-
-
-def test_near_entries_drain_in_time_then_seq_order():
-    wheel = TimerWheel()
-    seq = 0
-    for t in (8.0, 2.0, 8.0, 5.0, 2.0):
-        seq += 1
-        wheel.insert(t, seq, None, (), 0.0)
-    assert _drain(wheel) == [(2.0, 2), (2.0, 5), (5.0, 4),
-                             (8.0, 1), (8.0, 3)]
-
-
-def test_far_and_overflow_entries_route_by_horizon():
-    wheel = TimerWheel()
-    near_t = NEAR_SPAN_NS / 2
-    far_t = float(1 << (LEVEL_SHIFTS[0] + 4))
-    deep_t = float(1 << (LEVEL_SHIFTS[-1] + 4))
-    overflow_t = float(1 << (LEVEL_SHIFTS[-1] + 9))
-    wheel.insert(near_t, 1, None, (), 0.0)
-    wheel.insert(far_t, 2, None, (), 0.0)
-    wheel.insert(deep_t, 3, None, (), 0.0)
-    wheel.insert(overflow_t, 4, None, (), 0.0)
-    assert len(wheel.near) == 1
-    assert len(wheel.overflow) == 1
-    assert _drain(wheel) == [(near_t, 1), (far_t, 2), (deep_t, 3),
-                             (overflow_t, 4)]
-
-
-def test_cascade_preserves_global_order_across_levels():
-    """Deadlines sprinkled across every level and the overflow heap must
-    still drain in exact (time, seq) order."""
-    wheel = TimerWheel()
-    times = []
-    seq = 0
-    for shift in (0, *LEVEL_SHIFTS, LEVEL_SHIFTS[-1] + 8):
-        for k in (1, 3, 7):
-            seq += 1
-            t = float((k << shift) + seq)
-            wheel.insert(t, seq, None, (), 0.0)
-            times.append((t, seq))
-    assert _drain(wheel) == sorted(times)
-
-
-def test_same_deadline_appends_keep_fifo_without_sort():
-    wheel = TimerWheel()
-    t = 100.0
-    for seq in range(1, 50):
-        wheel.insert(t, seq, None, (), 0.0)
-    assert _drain(wheel) == [(t, seq) for seq in range(1, 50)]
-
-
-# ---------------------------------------------------------------------------
-# Timer handles: lazy cancellation
-# ---------------------------------------------------------------------------
+from repro.sim.timers import WHEEL_STATS
 
 
 def test_cancelled_timer_never_fires():
@@ -175,65 +69,37 @@ def test_cancelled_timer_still_advances_clock_identically():
     assert trajectory(True) == trajectory(False)
 
 
-def test_cancel_in_both_modes_is_equivalent():
-    def run(mode):
-        set_timers(mode)
-        sim = Simulator()
-        out = []
+def test_stats_count_fired_and_cancelled_timers():
+    WHEEL_STATS.reset()
+    sim = Simulator()
 
-        def guarded(tag, work_ns, timeout_ns):
-            watchdog = sim.timer(timeout_ns, f"{tag}-timeout")
-            index, value = yield sim.any_of(
-                [sim.timeout_event(work_ns, f"{tag}-done"), watchdog.event])
-            if index == 0:
-                watchdog.cancel()
-            out.append((sim.now, tag, value))
+    def proc():
+        kept = sim.timer(10.0)
+        dropped = sim.timer(20.0)
+        dropped.cancel()
+        dropped.cancel()                  # idempotent: counted once
+        yield kept.event
 
-        sim.spawn(guarded("fast", 10.0, 1000.0))
-        sim.spawn(guarded("slow", 5000.0, 1000.0))
-        sim.spawn(guarded("tie", 1000.0, 1000.0))
-        sim.run()
-        return out, sim.now
-
-    assert run("wheel") == run("heap")
-
-
-# ---------------------------------------------------------------------------
-# Bounded runs: a refilled-but-unfired bucket must not wedge the wheel
-# ---------------------------------------------------------------------------
-
-
-def test_unready_rehomes_a_refilled_bucket():
-    """refill() pops the earliest bucket into ``ready``; unready() must
-    put it back so later, *earlier* inserts still drain first."""
-    wheel = TimerWheel()
-    wheel.insert(900.0, 1, None, (), 0.0)
-    wheel.refill()
-    assert wheel.ready and wheel.ready_time == 900.0
-    wheel.unready()
-    assert not wheel.ready and len(wheel) == 1
-    wheel.insert(100.0, 2, None, (), 0.0)
-    assert _drain(wheel) == [(100.0, 2), (900.0, 1)]
+    sim.run_process(proc())
+    sim.run()
+    assert WHEEL_STATS.snapshot() == {"fired": 1, "cancelled": 1}
 
 
 def test_bounded_run_does_not_wedge_later_earlier_timers():
-    """Regression: ``run(until=X)`` breaking before a refilled bucket's
-    deadline used to leave that bucket parked in ``ready`` — every
-    timer scheduled afterwards at an earlier deadline sat behind it and
-    never fired (the rack's per-epoch heartbeats hit exactly this)."""
-    set_timers("wheel")
+    """``run(until=X)`` that stops short of a far deadline must leave
+    the queue able to fire timers scheduled afterwards at earlier
+    deadlines (the rack's per-epoch heartbeats depend on this)."""
     sim = Simulator()
 
     def sleeper(delay):
         yield Timeout(delay)
 
     far = sim.spawn(sleeper(6_080_000.0))
-    # The bounded run refills the far bucket into ready, fires nothing.
     sim.run(until=0.0)
     assert not far.finished
     near = sim.spawn(sleeper(500.0))
     sim.run(until=1_000.0)
-    assert near.finished, "near-deadline timer wedged behind a stale bucket"
+    assert near.finished, "near-deadline timer wedged behind a stale entry"
     assert not far.finished
     sim.run()
     assert far.finished

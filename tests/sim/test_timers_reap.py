@@ -1,90 +1,27 @@
-"""Tombstone-free timer reaping (ISSUE 10): equivalence + compaction.
+"""Cancelled-timer tombstones drain to the last deadline.
 
-Reaping (``REPRO_TIMERS_REAP``, default on) must be observationally
-identical to the legacy lazy-cancel drain on both timer carriers — same
-fire order, same values, same final clock (the dead-horizon fold stands
-in for the tombstone pop at the end of an unbounded run).  On top of
-the equivalence, these tests pin the mechanisms: nursery staging keeps
-cancel-before-flush watchdogs out of the wheel entirely, ratio-
-triggered sweeps compact what did get inserted, and ``WHEEL_STATS``
-reconciles so ``tombstones_pending`` no longer drifts upward forever
-(the satellite fix: ``cancelled`` alone over-reported outstanding
-timers on long racks).
+Cancellation is lazy: a cancelled timer stays on the heap and pops at
+its ``(time, seq)`` slot without triggering.  When every timer is
+cancelled, the run still drains those tombstones, so the final clock is
+the last deadline — on both run loops (race detector disarmed, and
+armed with its per-event probe).
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.lint.races import RaceDetector
 from repro.sim.engine import Simulator, Timeout
-from repro.sim.timers import (WHEEL_STATS, set_timers, set_timers_reap,
-                              timers_reap_enabled)
 
 
-@pytest.fixture(autouse=True)
-def _restore_modes():
-    yield
-    set_timers(None)
-    set_timers_reap(None)
-
-
-def test_gate_plumbing(monkeypatch):
-    set_timers_reap(False)
-    assert not timers_reap_enabled()
-    set_timers_reap(None)
-    monkeypatch.delenv("REPRO_TIMERS_REAP", raising=False)
-    assert timers_reap_enabled()
-    monkeypatch.setenv("REPRO_TIMERS_REAP", "0")
-    assert not timers_reap_enabled()
-    with pytest.raises(ValueError):
-        set_timers_reap("on")
-
-
-def _watchdog_trajectory(carrier, reap):
-    """The RAS shape: long watchdogs armed and cancelled every step,
-    some allowed to fire; returns (tick trace, final clock)."""
-    set_timers(carrier)
-    set_timers_reap(reap)
+@pytest.mark.parametrize("armed", [True, False])
+def test_cancel_all_still_advances_clock(armed):
+    """Every timer cancelled: the tombstones still drain, landing the
+    clock on the last deadline."""
     sim = Simulator()
-    trace = []
-
-    def proc(period, leak_every):
-        step = 0
-        while step < 40:
-            watchdog = sim.timer(period * 1000.0, f"bang-{step}")
-            yield Timeout(period)
-            if leak_every and step % leak_every == 0:
-                pass               # leaked: fires far in the future
-            else:
-                watchdog.cancel()
-            trace.append((sim.now, watchdog.active))
-            step += 1
-
-    def absorber():
-        # Give some leaked watchdogs a waiter so their values surface.
-        watchdog = sim.timer(123_456.0, "late")
-        value = yield watchdog.event
-        trace.append((sim.now, value))
-
-    for i in range(6):
-        sim.spawn(proc(1.0 + i * 0.7, leak_every=7 if i % 2 else 0))
-    sim.spawn(absorber())
-    sim.run()
-    return trace, sim.now
-
-
-@pytest.mark.parametrize("carrier", ["wheel", "heap"])
-def test_reap_is_observationally_identical(carrier):
-    assert _watchdog_trajectory(carrier, True) == \
-        _watchdog_trajectory(carrier, False)
-
-
-@pytest.mark.parametrize("reap", [True, False])
-def test_cancel_all_still_advances_clock(reap):
-    """Every timer cancelled: the dead-horizon fold must land the clock
-    exactly where draining the tombstones would have."""
-    set_timers_reap(reap)
-    sim = Simulator()
+    if armed:
+        RaceDetector(sim, strict=False).arm()
 
     def proc():
         timers = [sim.timer(100.0 * (i + 1)) for i in range(32)]
@@ -95,108 +32,3 @@ def test_cancel_all_still_advances_clock(reap):
     sim.spawn(proc())
     sim.run()
     assert sim.now == 3200.0
-
-
-def test_nursery_absorbs_cancel_before_flush():
-    """A watchdog cancelled before any refill needs its bucket never
-    touches the far wheel: no insert, no tombstone, no sweep."""
-    set_timers("wheel")
-    set_timers_reap(True)
-    WHEEL_STATS.reset()
-    sim = Simulator()
-
-    def proc():
-        for _ in range(200):
-            watchdog = sim.timer(5_000_000.0)   # far-level deadline
-            yield Timeout(1.0)
-            watchdog.cancel()
-
-    sim.spawn(proc())
-    sim.run()
-    stats = WHEEL_STATS.describe()
-    assert stats["far_inserts"] == 0
-    assert stats["reap_sweeps"] == 0
-    assert stats["dead_fired"] == 0
-    assert stats["cancelled"] == 200
-    assert stats["tombstones_pending"] == 0
-
-
-def test_stats_reconcile_after_sweep_of_far_tombstones():
-    """The satellite fix: cancelled - reaped - dead_fired returns to
-    zero once the structures are compacted, instead of reporting every
-    historical cancel as still pending.
-
-    Getting a tombstone *into* the wheel takes work by design (the
-    nursery absorbs any cancel that beats the flush): stage one early
-    timer next to many far ones, let the early deadline force the
-    flush — dumping the far group into the wheel proper — and only
-    then cancel.  The dead ratio trips a sweep, and ``describe()``
-    reconciles back to zero pending."""
-    set_timers("wheel")
-    set_timers_reap(True)
-    WHEEL_STATS.reset()
-    sim = Simulator()
-
-    def proc():
-        early = sim.timer(1_000.0)               # forces the flush
-        far = [sim.timer(1_000_000.0 + i * 16.0) for i in range(64)]
-        yield early.event                        # now the far group is
-        for timer in far:                        # wheel-resident
-            timer.cancel()
-
-    sim.spawn(proc())
-    sim.run()
-    stats = WHEEL_STATS.describe()
-    assert stats["cancelled"] == 64
-    assert stats["far_inserts"] >= 64
-    assert stats["reap_sweeps"] >= 1
-    assert stats["reaped"] + stats["dead_fired"] == 64
-    assert stats["tombstones_pending"] == 0
-    # The dead-horizon fold still lands the clock on the last deadline.
-    assert sim.now == 1_000_000.0 + 63 * 16.0
-
-
-def test_reap_keeps_heap_carrier_clean():
-    set_timers("heap")
-    set_timers_reap(True)
-    sim = Simulator()
-
-    def proc():
-        timers = [sim.timer(1_000.0 + i) for i in range(100)]
-        yield Timeout(1.0)
-        for timer in timers:
-            timer.cancel()
-        yield Timeout(1.0)
-        # Ratio trigger: 100 dead vs tiny live population compacts.
-        assert len(sim._heap) < 50
-        assert not sim._heap_dead
-
-    sim.spawn(proc())
-    sim.run()
-    assert sim.now == 1099.0       # dead horizon: the last deadline
-
-
-def test_horizon_sees_through_tombstones_and_nursery():
-    """`Simulator.horizon()` (the rack fast-forward input) must report
-    the next *live* deadline: staged nursery entries count, cancelled
-    entries do not pin it."""
-    set_timers("wheel")
-    set_timers_reap(True)
-    sim = Simulator()
-
-    def proc():
-        early = sim.timer(50.0)
-        sim.timer(400.0)
-        yield Timeout(10.0)
-        early.cancel()
-
-    sim.spawn(proc())
-    sim.run(until=20.0)
-    # The cancelled 50.0 must not mask the live 400.0 (a stale-low
-    # nursery bound is allowed — horizons are lower bounds — but a
-    # reaped structure reports the live entry).
-    assert sim.horizon() <= 400.0
-    sim.run(until=60.0)
-    assert 60.0 < sim.horizon() <= 400.0
-    sim.run()
-    assert sim.horizon() == float("inf")

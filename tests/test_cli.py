@@ -53,3 +53,29 @@ def test_calibration_anchor_holds():
     line = next(l for l in table.splitlines() if "Type-3" in l)
     value = float(line.rsplit(None, 1)[-1])
     assert 350 <= value <= 430
+
+
+@pytest.mark.parametrize("argv", [
+    ["faults", "--fault-plan", "garbage=1"],
+    ["fig3", "--reps", "0"],
+    ["ext_rack", "--hosts", "0", "--users", "1000"],
+    ["fig8", "--duration-ms", "-5"],
+])
+def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
+    """Bad flags and specs exit 2 with one ``repro: error:`` line, not a
+    traceback."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src, REPRO_EXPCACHE="0")
+    proc = subprocess.run([sys.executable, "-m", "repro", *argv],
+                          capture_output=True, text=True, env=env,
+                          cwd=tmp_path, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("repro: error:"), lines
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
