@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 import time
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 from repro.analysis.compare import within_band
 from repro.analysis.expected import PAPER
@@ -53,8 +53,10 @@ def _check(checks: List[Check], key: str, measured: float,
 
 
 def generate(fig8_duration_ms: float = 300.0, reps: int = 12,
-             include_fig8: bool = True) -> str:
-    """Run everything; return the markdown report."""
+             include_fig8: bool = True, jobs: Optional[int] = None) -> str:
+    """Run everything; return the markdown report.  ``jobs`` fans the
+    fig6, fig8 and SVII sweeps out across worker processes; the report
+    is byte-identical for every count."""
     out = io.StringIO()
     checks: List[Check] = []
     # Wall clock is for the human-facing "generated in Ns" footer only —
@@ -108,7 +110,7 @@ def generate(fig8_duration_ms: float = 300.0, reps: int = 12,
            f5.ncp_latency_gain(HostOp.LOAD), slack=0.15)
 
     # Fig 6 --------------------------------------------------------------
-    f6 = fig6_transfer.run(reps=max(3, reps // 4))
+    f6 = fig6_transfer.run(reps=max(3, reps // 4), jobs=jobs)
     out.write("## Fig 6\n\n```\n")
     out.write(fig6_transfer.format_table(f6))
     out.write("\n```\n\n")
@@ -138,7 +140,8 @@ def generate(fig8_duration_ms: float = 300.0, reps: int = 12,
     if include_fig8:
         scenario = fig8_tail_latency.ScenarioConfig(
             duration_ns=ms(fig8_duration_ms))
-        f8 = fig8_tail_latency.run(workloads=("a",), scenario=scenario)
+        f8 = fig8_tail_latency.run(workloads=("a",), scenario=scenario,
+                                   jobs=jobs)
         out.write("## Fig 8 (YCSB-a)\n\n```\n")
         out.write(fig8_tail_latency.format_table(f8))
         out.write("\n```\n\n")
@@ -146,7 +149,7 @@ def generate(fig8_duration_ms: float = 300.0, reps: int = 12,
             for backend in ("cpu", "pcie-rdma", "pcie-dma", "cxl"):
                 _check(checks, f"fig8/{feature}/{backend}",
                        f8.normalized_p99(feature, "a", backend), slack=0.45)
-        s7 = sec7_accounting.run(scenario=scenario)
+        s7 = sec7_accounting.run(scenario=scenario, jobs=jobs)
         out.write("## SVII accounting\n\n```\n")
         out.write(sec7_accounting.format_table(s7))
         out.write("\n```\n\n")

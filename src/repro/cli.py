@@ -77,7 +77,8 @@ def _run_sec7(args) -> str:
 def _run_report(args) -> str:
     from repro.analysis.report import generate
     report = generate(fig8_duration_ms=args.duration_ms,
-                      reps=args.reps, include_fig8=not args.quick)
+                      reps=args.reps, include_fig8=not args.quick,
+                      jobs=args.jobs)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(report)

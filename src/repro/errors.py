@@ -16,8 +16,9 @@ class SimulationError(ReproError):
     yielded an unknown command, or time went backwards)."""
 
 
-class ConfigError(ReproError):
-    """A configuration value is out of range or inconsistent."""
+class ConfigError(ReproError, ValueError):
+    """A configuration value is out of range or inconsistent.  Also a
+    ``ValueError``, so generic bad-argument handlers catch it too."""
 
 
 class CoherenceError(ReproError):

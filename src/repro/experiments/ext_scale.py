@@ -167,10 +167,12 @@ def run(requests: int = 5_000_000, rate_per_s: float = 32_000.0,
     recorder: LatencyRecorder = (StreamingLatencyStats()
                                  if effective == "stream"
                                  else LatencyStats())
-    if checkpoint_enabled():
+    shadow_run = compare_exact and effective == "stream"
+    if shadow_run and checkpoint_enabled():
         # Warm up (platform + cxl cost calibration) once; the headline
-        # run — and the shadow run below, when requested — each fork
-        # from the snapshot.  Byte-identical to the cold path.
+        # run and the shadow run below each fork from the snapshot.  A
+        # headline-only run has no second reader, so it warms up cold.
+        # Byte-identical to the cold path either way.
         cp = snapshot(_scale_warmup(rate_per_s, seed), label="ext_scale")
 
         def drive(rec: LatencyRecorder) -> Tuple[int, Tuple[int, ...]]:
@@ -184,7 +186,7 @@ def run(requests: int = 5_000_000, rate_per_s: float = 32_000.0,
     count, rss = drive(recorder)
 
     exact_rel_err = None
-    if compare_exact and effective == "stream":
+    if shadow_run:
         shadow = LatencyStats()
         drive(shadow)
         exact_rel_err = {

@@ -232,21 +232,24 @@ def run(features=("zswap", "ksm"), workloads=WORKLOAD_NAMES,
     # Every cell is a pure function of (workload, backend, scenario,
     # seed), and the expensive half — platform build plus backend cost
     # calibration — depends only on (feature, backend).  Group the grid
-    # into one ForkSpec per (feature, backend): the warm-up runs (or
-    # checkpoint-restores) once per group and the workloads fork from
-    # it, byte-identical to per-cell cold runs at any --jobs count.
-    cells: Dict[str, CellResult] = {}
+    # into one ForkSpec per (feature, backend) and run every group in
+    # one call, so all cells share one process pool.  A group with two
+    # or more workloads snapshots its warm-up once and forks each
+    # workload from it; a one-workload group (the CLI default) just
+    # warms up cold inside its worker.  Byte-identical to per-cell cold
+    # runs at any --jobs count.
+    specs = []
     for feature in features:
         warmup = _zswap_warmup if feature == "zswap" else _ksm_warmup
         point = _zswap_point if feature == "zswap" else _ksm_point
         for backend in backends:
-            spec = ForkSpec.build(
+            specs.append(ForkSpec.build(
                 f"fig8/{feature}/{backend}", warmup,
                 [(f"{feature}/{workload}/{backend}", point,
                   (workload, backend, scenario), {})
                  for workload in workloads],
-                warmup_args=(backend, scenario, seed))
-            cells.update(run_forked_sweep(spec, jobs=jobs))
+                warmup_args=(backend, scenario, seed)))
+    cells: Dict[str, CellResult] = run_forked_sweep(*specs, jobs=jobs)
     # Reassemble in the canonical feature -> workload -> backend order
     # the pre-split sweep produced.
     ordered = {f"{feature}/{workload}/{backend}":

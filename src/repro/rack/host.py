@@ -31,7 +31,7 @@ from repro.apps.kvs import (BASE_SERVICE_NS, UPDATE_EXTRA_NS,
                             BoundedKeyValueStore)
 from repro.core.offload import OffloadEngine
 from repro.core.platform import Platform
-from repro.errors import FaultError
+from repro.errors import ConfigError, FaultError
 from repro.faults import FaultPlan
 from repro.rack.fabric import FabricConfig, FabricPort, Wire
 from repro.rack.ring import HashRing
@@ -79,19 +79,19 @@ class RackConfig:
 
     def __post_init__(self) -> None:
         if self.hosts < 1:
-            raise ValueError(f"need at least one host: {self.hosts}")
+            raise ConfigError(f"need at least one host: {self.hosts}")
         if self.buckets < self.hosts:
-            raise ValueError(
+            raise ConfigError(
                 f"buckets ({self.buckets}) < hosts ({self.hosts})")
         if self.users < self.buckets:
-            raise ValueError(
+            raise ConfigError(
                 f"users ({self.users}) < buckets ({self.buckets})")
         if self.kill is not None:
             victim, frac = self.kill
             if not 0 <= victim < self.hosts:
-                raise ValueError(f"kill victim {victim} out of range")
+                raise ConfigError(f"kill victim {victim} out of range")
             if frac <= 0.0:
-                raise ValueError(f"kill fraction must be positive: {frac}")
+                raise ConfigError(f"kill fraction must be positive: {frac}")
             # frac >= 1 is legal: the fault is armed but never fires
             # (the disarmed-identity contract in tests/rack).
 

@@ -39,7 +39,9 @@ exactly the way bulk off/on is pinned): a point
 forked from a warm-up checkpoint produces **byte-identical** output to
 a cold run that executed the same warm-up followed by the same point.
 ``REPRO_CHECKPOINT=0`` (or :func:`set_checkpoint`\ ``(False)``) routes
-:func:`~repro.sim.parallel.run_forked_sweep` through the cold path.
+:func:`~repro.sim.parallel.run_forked_sweep` through the cold path,
+which it also takes for any one-point spec (a snapshot pays off only
+when two or more forks read it).
 """
 
 from __future__ import annotations
@@ -74,8 +76,9 @@ def set_checkpoint(enabled: Optional[bool]) -> None:
 
 
 def checkpoint_enabled() -> bool:
-    """Whether :func:`~repro.sim.parallel.run_forked_sweep` forks points
-    from a warm-up snapshot (on) or replays the warm-up per point (off).
+    """Whether :func:`~repro.sim.parallel.run_forked_sweep` forks the
+    points of a multi-point spec from a warm-up snapshot (on) or replays
+    the warm-up per point (off).
     Outputs are byte-identical either way; only wall-clock differs."""
     if _forced is not None:
         return _forced

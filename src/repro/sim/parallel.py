@@ -129,9 +129,10 @@ class ForkSpec:
     objects), leaving its simulator *quiescent*; each point's ``fn``
     then receives the root as its first argument, followed by the
     point's own args/kwargs.  :func:`run_forked_sweep` runs the warm-up
-    **once**, snapshots it, and forks every point from the checkpoint —
-    or, with checkpointing disabled (``REPRO_CHECKPOINT=0``), replays
-    the warm-up per point.  Both paths produce byte-identical results;
+    of a multi-point spec **once**, snapshots it, and forks every point
+    from the checkpoint — or, for a one-point spec or with
+    checkpointing disabled (``REPRO_CHECKPOINT=0``), replays the
+    warm-up per point.  Both paths produce byte-identical results;
     the contract mirrors :class:`SweepSpec`, plus: the warm-up must be
     a module-level callable with picklable arguments, and the root
     graph must be checkpointable (quiescent — see
@@ -170,54 +171,69 @@ def _run_point(point: SweepPoint) -> Any:
 
 
 def _run_forked_point(task: Tuple[Any, SweepPoint]) -> Any:
-    """Pool worker for the checkpoint path: fork the shared snapshot,
-    then run the point against the private copy."""
+    """Fork the shared snapshot, then run the point against the private
+    copy."""
     cp, point = task
     root = cp.restore()
     return point.fn(root, *point.args, **dict(point.kwargs))
 
 
-def _run_cold_point(
-        task: Tuple[Callable[..., Any], Tuple, Mapping, SweepPoint]) -> Any:
-    """Pool worker for the cold path: replay the warm-up, then run the
-    point — the pre-checkpoint behavior, kept as the pinned reference."""
+def _run_cold_point(task: Tuple[ForkSpec, SweepPoint]) -> Any:
+    """Replay the warm-up, then run the point — the pre-checkpoint
+    behavior, kept as the pinned reference."""
     from repro.sim.checkpoint import CHECKPOINT_STATS
-    warmup, wargs, wkwargs, point = task
+    spec, point = task
     CHECKPOINT_STATS.cold_warmups += 1
-    root = warmup(*wargs, **dict(wkwargs))
+    root = spec.run_warmup()
     return point.fn(root, *point.args, **dict(point.kwargs))
 
 
-def run_forked_sweep(spec: ForkSpec, jobs: Any = None) -> Dict[Hashable, Any]:
-    """Run every point of ``spec`` against its shared warm-up; return
-    ``{key: result}`` in submission order, byte-identical to
-    :func:`run_sweep` over per-point cold runs.
+def _run_fork_task(task: Tuple[Callable[[Any], Any], Any]) -> Any:
+    """Pool worker: one point of a :func:`run_forked_sweep` call, on the
+    forked or cold path its spec was assigned."""
+    runner, arg = task
+    return runner(arg)
 
-    With checkpointing enabled (the default) the warm-up executes once
-    and every point — including the first, so all points see the same
-    restored-from-snapshot world — forks from the snapshot.  Each fork
-    reinstalls the warm-up's ambient page-store/work-cache state, so
-    per-point intern/release accounting balances exactly as a cold run's
-    would.  ``REPRO_CHECKPOINT=0`` replays the warm-up per point
-    instead; parallel jobs ship the checkpoint (or the warm-up thunk) to
-    workers and merge in submission order like :func:`run_sweep`.
+
+def run_forked_sweep(*specs: ForkSpec, jobs: Any = None
+                     ) -> Dict[Hashable, Any]:
+    """Run every point of every spec against its spec's warm-up; return
+    ``{key: result}`` in submission order (spec by spec, point by
+    point), byte-identical to :func:`run_sweep` over per-point cold
+    runs.  A key that appears in two specs is a ``ValueError``.
+
+    All points of all specs share one process pool, so a call made of
+    many small specs still fans out across ``jobs`` workers.  A spec
+    with two or more points runs its warm-up once in the parent,
+    snapshots it, and every point — including the first, so all points
+    see the same restored-from-snapshot world — forks from the
+    snapshot; each fork reinstalls the warm-up's ambient
+    page-store/work-cache state, so per-point intern/release accounting
+    balances exactly as a cold run's would.  A spec with exactly one
+    point never snapshots: nothing else would read the snapshot, so the
+    point replays the warm-up cold, inside its worker.
+    ``REPRO_CHECKPOINT=0`` sends every spec down that cold path.
     """
     from repro.sim.checkpoint import checkpoint_enabled, snapshot
+    name = "+".join(spec.name for spec in specs)
+    keys = [p.key for spec in specs for p in spec.points]
+    if len(set(keys)) != len(keys):
+        raise ValueError(f"sweep {name!r} has duplicate point keys")
     jobs = resolve_jobs(jobs)
-    if checkpoint_enabled():
-        cp = snapshot(spec.run_warmup(), label=spec.name)
-        tasks = [(cp, p) for p in spec.points]
-        runner = _run_forked_point
-    else:
-        tasks = [(spec.warmup, spec.warmup_args, spec.warmup_kwargs, p)
-                 for p in spec.points]
-        runner = _run_cold_point
+    forking = checkpoint_enabled()
+    tasks: list = []
+    for spec in specs:
+        if forking and len(spec.points) > 1:
+            cp = snapshot(spec.run_warmup(), label=spec.name)
+            tasks.extend((_run_forked_point, (cp, p)) for p in spec.points)
+        else:
+            tasks.extend((_run_cold_point, (spec, p)) for p in spec.points)
     if jobs > 1 and len(tasks) > 1:
-        results = _map_parallel(spec.name, runner, tasks,
+        results = _map_parallel(name, _run_fork_task, tasks,
                                 min(jobs, len(tasks)))
         if results is not None:
-            return dict(zip((p.key for p in spec.points), results))
-    return {p.key: runner(t) for p, t in zip(spec.points, tasks)}
+            return dict(zip(keys, results))
+    return {key: _run_fork_task(t) for key, t in zip(keys, tasks)}
 
 
 def run_sweep(spec: SweepSpec, jobs: Any = None) -> Dict[Hashable, Any]:

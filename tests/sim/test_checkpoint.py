@@ -286,6 +286,71 @@ class TestForkedSweep:
         assert CHECKPOINT_STATS.snapshots == 0
 
 
+def _toy_spec(name: str, base: int, salts) -> ForkSpec:
+    return ForkSpec.build(
+        name, _toy_warmup,
+        [((name, salt), _toy_point, (salt,), {}) for salt in salts],
+        warmup_args=(base,))
+
+
+class TestMultiSpecSweep:
+    """One call, several specs, one pool; a one-point spec never
+    snapshots."""
+
+    def _specs(self):
+        return (_toy_spec("wide", 1234, range(3)),
+                _toy_spec("single", 99, (7,)),
+                _toy_spec("pair", 5, (2, 9)))
+
+    def test_keys_merge_in_submission_order(self):
+        set_checkpoint(True)
+        wide, single, pair = self._specs()
+        merged = run_forked_sweep(wide, single, pair)
+        assert list(merged) == [("wide", 0), ("wide", 1), ("wide", 2),
+                                ("single", 7), ("pair", 2), ("pair", 9)]
+        # Each spec's results are the ones it produces on its own.
+        for spec in (wide, single, pair):
+            alone = run_forked_sweep(spec)
+            assert {k: merged[k] for k in alone} == alone
+
+    def test_key_duplicated_across_specs_rejected(self):
+        first = ForkSpec.build("a", _toy_warmup, [(1, _toy_point, (1,), {})],
+                               warmup_args=(1,))
+        second = ForkSpec.build("b", _toy_warmup,
+                                [(1, _toy_point, (2,), {})],
+                                warmup_args=(2,))
+        CHECKPOINT_STATS.reset()
+        with pytest.raises(ValueError, match="duplicate"):
+            run_forked_sweep(first, second)
+        # Rejected before any warm-up ran.
+        assert CHECKPOINT_STATS.snapshots == 0
+        assert CHECKPOINT_STATS.cold_warmups == 0
+
+    def test_one_point_spec_warms_up_cold(self):
+        set_checkpoint(True)
+        CHECKPOINT_STATS.reset()
+        run_forked_sweep(_toy_spec("single", 99, (7,)))
+        assert CHECKPOINT_STATS.cold_warmups == 1
+        assert CHECKPOINT_STATS.snapshots == 0
+        assert CHECKPOINT_STATS.restores == 0
+
+    def test_four_point_spec_snapshots_once(self):
+        set_checkpoint(True)
+        CHECKPOINT_STATS.reset()
+        run_forked_sweep(_toy_spec("wide", 1234, range(4)))
+        assert CHECKPOINT_STATS.snapshots == 1
+        assert CHECKPOINT_STATS.restores == 4
+        assert CHECKPOINT_STATS.cold_warmups == 0
+
+    @pytest.mark.parametrize("checkpoint", [True, False])
+    def test_parallel_equals_serial(self, checkpoint):
+        set_checkpoint(checkpoint)
+        serial = run_forked_sweep(*self._specs(), jobs=1)
+        parallel = run_forked_sweep(*self._specs(), jobs=2)
+        assert list(parallel) == list(serial)
+        assert parallel == serial
+
+
 # -- seed/RNG stability across the fork boundary (property) ------------------
 
 

@@ -55,6 +55,24 @@ class TestFig8:
                          scenario=scenario, jobs=jobs)))
         assert forked == cold
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_byte_identical_with_two_point_groups(self, jobs):
+        """With two workloads every (feature, backend) group has two
+        points, so the forked side really snapshots and restores (a
+        one-workload group warms up cold on both sides)."""
+        from repro.experiments import fig8_tail_latency as fig8
+        from repro.sim.checkpoint import CHECKPOINT_STATS
+        scenario = fig8.ScenarioConfig(duration_ns=ms(20.0))
+
+        def run():
+            CHECKPOINT_STATS.reset()
+            return fig8.format_table(
+                fig8.run(workloads=("a", "b"), backends=("none", "cxl"),
+                         scenario=scenario, jobs=jobs))
+        cold, forked = _forked_vs_cold(run)
+        assert CHECKPOINT_STATS.snapshots == 4
+        assert forked == cold
+
 
 class TestExtScale:
     def test_byte_identical_with_exact_shadow(self):

@@ -60,6 +60,7 @@ def test_calibration_anchor_holds():
     ["fig3", "--reps", "0"],
     ["ext_rack", "--hosts", "0", "--users", "1000"],
     ["fig8", "--duration-ms", "-5"],
+    ["ext_rack", "--users", "1000"],      # fewer users than key buckets
 ])
 def test_bad_input_is_a_one_line_usage_error(argv, tmp_path):
     """Bad flags and specs exit 2 with one ``repro: error:`` line, not a
