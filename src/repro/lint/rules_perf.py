@@ -198,63 +198,6 @@ def check_perf404(module: LintModule) -> Iterator[Finding]:
             )
 
 
-def _bulk_items_arg(call: ast.Call):
-    """The ``items`` argument of a ``send_bulk(dst, kind, items, ...)``
-    call, positional or keyword; ``None`` if absent."""
-    if len(call.args) >= 3:
-        return call.args[2]
-    for kw in call.keywords:
-        if kw.arg == "items":
-            return kw.value
-    return None
-
-
-def check_perf405(module: LintModule) -> Iterator[Finding]:
-    """PERF405: per-request fabric wire inside a serving loop.
-
-    ``FabricPort.send_bulk`` exists so that one wire carries a whole
-    per-destination batch (one ``header_bytes`` charge, ``item_bytes``
-    per record, one delivery event at the receiver).  Calling it with a
-    single-element literal inside a loop —
-
-        for user, issue in requests:
-            port.send_bulk(dst, "req", [(user, issue)], send_ns)
-
-    — pays the header, the sequencing, and the receiver's per-wire
-    dispatch once per request: the cross-shard round-trip cost scales
-    with requests instead of destinations.  Group the loop's items per
-    destination first and issue one wire per group (the shape every
-    :mod:`repro.rack.host` sender uses).  A site that genuinely must
-    emit one record per wire (e.g. a protocol-ordering probe) should
-    carry ``# reprolint: disable=PERF405`` with a comment saying why.
-    """
-    seen = set()
-    for node in ast.walk(module.tree):
-        if not isinstance(node, (ast.For, ast.While)):
-            continue
-        for sub in ast.walk(node):
-            if not (isinstance(sub, ast.Call)
-                    and isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr == "send_bulk"):
-                continue
-            if sub.lineno in seen:
-                continue
-            items = _bulk_items_arg(sub)
-            if not (isinstance(items, (ast.List, ast.Tuple))
-                    and len(items.elts) == 1):
-                continue
-            seen.add(sub.lineno)
-            owner = dotted_name(sub.func.value) or "<port>"
-            yield Finding(
-                "PERF405", module.path, sub.lineno, sub.col_offset,
-                f"`{owner}.send_bulk(...)` sends a single-item wire per "
-                "loop iteration — a per-request cross-shard round-trip; "
-                "group the items per destination and send one batched "
-                "wire per group, or suppress with a comment if one "
-                "record per wire is load-bearing",
-            )
-
-
 RULES = [
     Rule("PERF401", "redundant call_soon around an Event trigger",
          check_perf401),
@@ -264,6 +207,4 @@ RULES = [
          check_perf403),
     Rule("PERF404", "sweep point rebuilding Platforms per point",
          check_perf404),
-    Rule("PERF405", "per-request fabric wire in a serving loop",
-         check_perf405),
 ]

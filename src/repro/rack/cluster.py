@@ -1,9 +1,9 @@
 """Rack coordinator: boot N shard hosts, step them epoch-BSP, rebalance.
 
 :func:`run_rack` is the tentpole entry point.  It measures one shared
-:class:`~repro.kernel.daemons.CostProfile` on a calibration platform
-(snapshotted via :mod:`repro.sim.checkpoint`, so every shard restores
-the identical warm state instead of re-measuring), boots one
+:class:`~repro.kernel.daemons.CostProfile` on a calibration platform,
+hands that frozen profile to every shard (so no shard re-measures, and
+no platform crosses a process boundary), boots one
 :class:`~repro.rack.host.ShardHost` per host on a
 :class:`~repro.sim.parallel.ShardPool`, and then runs the epoch loop:
 
@@ -37,7 +37,6 @@ from repro.kernel.daemons import CostProfile
 from repro.rack.fabric import FABRIC_STATS, Fabric
 from repro.rack.host import (AVAIL_BUCKETS, RackConfig, ShardHost,
                              FinalReport, rack_calibration_seed)
-from repro.sim.checkpoint import Checkpoint, snapshot
 from repro.sim.parallel import ShardPool
 from repro.sim.stats import StreamingLatencyStats
 
@@ -104,27 +103,21 @@ class RackResult:
         return out
 
 
-def _calibration_checkpoint(cfg: RackConfig) -> Checkpoint:
-    """Measure the shared CostProfile once and snapshot it.
+def _calibration_profile(cfg: RackConfig) -> CostProfile:
+    """Measure the shared CostProfile once, on a calibration platform.
 
     The calibration platform's seed depends only on ``cfg.seed`` (not on
-    any shard id), so warm restores and a from-scratch re-measure yield
-    the identical profile — the warm-up is a pure accelerator.
+    any shard id), so every shard gets the profile it would have
+    measured itself — sharing it is a pure accelerator.
     """
     platform = Platform(seed=rack_calibration_seed(cfg))
     engine = OffloadEngine(platform)
-    profile = CostProfile.from_engine(platform, engine, "cxl")
-    return snapshot((platform, profile), label="rack-calibration")
+    return CostProfile.from_engine(platform, engine, "cxl")
 
 
-def _boot_shard(sid: int, cfg: RackConfig, ckpt: Checkpoint) -> ShardHost:
-    """ShardPool boot hook: restore the calibration fork, build a host.
-
-    ``install_ambient=False``: shard processes must not adopt the
-    coordinator's snapshotted page-store accounting — each shard's
-    platform owns its own.
-    """
-    _platform, profile = ckpt.restore(install_ambient=False)
+def _boot_shard(sid: int, cfg: RackConfig,
+                profile: CostProfile) -> ShardHost:
+    """ShardPool boot hook: build a host on the shared profile."""
     return ShardHost(sid, cfg, profile)
 
 
@@ -137,7 +130,7 @@ def run_rack(cfg: RackConfig, jobs=None, probe=None,
     wall-clock telemetry like RSS sampling.  It must not touch
     simulated state; the trajectory is the same with or without it.
     """
-    ckpt = _calibration_checkpoint(cfg)
+    profile = _calibration_profile(cfg)
     sids = list(range(cfg.hosts))
     epoch_ns = cfg.fabric.epoch_ns
     duration = cfg.duration_ns
@@ -155,7 +148,8 @@ def run_rack(cfg: RackConfig, jobs=None, probe=None,
     nacked = 0
     killed: Optional[int] = None
 
-    with ShardPool("rack", sids, _boot_shard, (cfg, ckpt), jobs=jobs) as pool:
+    with ShardPool("rack", sids, _boot_shard, (cfg, profile),
+                   jobs=jobs) as pool:
         effective_jobs = pool.jobs
         epoch = 0
         while True:

@@ -17,9 +17,9 @@ three rules:
   delivery sequence, byte for byte.
 
 Batching: :meth:`FabricPort.send_bulk` puts a whole per-destination
-batch on one wire (one header, ``item_bytes`` per record).  Issuing one
-wire per request inside the serving loop is the shape lint rule PERF405
-flags — see docs/LINT.md.
+batch on one wire (one header, ``item_bytes`` per record); a shard
+sends at most one wire per destination and kind each epoch — see
+docs/RACK.md.
 """
 
 from __future__ import annotations

@@ -173,9 +173,9 @@ def _lindley(carry_wait: float, y: np.ndarray) -> np.ndarray:
 
 
 def rack_calibration_seed(cfg: RackConfig) -> int:
-    """The (shard-independent) seed of the calibration platform, so the
-    warm checkpoint path and the cold per-shard path measure the
-    identical :class:`~repro.kernel.daemons.CostProfile`."""
+    """The (shard-independent) seed of the calibration platform, so one
+    measured :class:`~repro.kernel.daemons.CostProfile` serves every
+    shard."""
     return derive_seed(cfg.seed, "rack-calibration")
 
 
@@ -239,7 +239,7 @@ class ShardHost:
                               if self._mean_ia is not None else float("inf"))
 
         # Cross-shard requests buffered per destination until the epoch
-        # flush (one bulk wire per destination — the PERF405 shape), and
+        # flush (one bulk wire per destination), and
         # a per-destination breaker that stops hammering a dead peer
         # while the rack converges.
         self._pending_remote: Dict[int, List[Tuple[int, float]]] = \

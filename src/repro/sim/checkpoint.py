@@ -195,16 +195,15 @@ class Checkpoint:
 
     # -- forking --------------------------------------------------------
 
-    def restore(self, install_ambient: bool = True) -> Any:
+    def restore(self) -> Any:
         """Materialize an independent copy of the snapshotted root.
 
         Each call is a fresh fork: restored objects share nothing with
-        the original graph or with other forks.  With
-        ``install_ambient`` (the default) the process-global page store
-        and work cache are reset to their snapshotted state first, so
-        the fork's intern/release accounting balances exactly as the
-        warm-up left it — a sweep worker owns its process's ambient
-        stores for the duration of the point.
+        the original graph or with other forks.  The process-global
+        page store and work cache are reset to their snapshotted state
+        first, so the fork's intern/release accounting balances exactly
+        as the warm-up left it — a sweep worker owns its process's
+        ambient stores for the duration of the point.
         """
         try:
             root, ambient = pickle.loads(self.payload)
@@ -213,8 +212,7 @@ class Checkpoint:
                 f"checkpoint {self.label!r} failed to restore: {exc!r} "
                 "(corrupt payload, or a module moved since the snapshot "
                 "was taken)") from exc
-        if install_ambient:
-            _install_ambient(ambient)
+        _install_ambient(ambient)
         CHECKPOINT_STATS.restores += 1
         return root
 

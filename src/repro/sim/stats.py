@@ -174,59 +174,106 @@ class _P2Quantile:
         self._grow = (0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0)
         self._n = 0
 
-    def add(self, x: float) -> None:
-        self._n += 1
-        heights = self._heights
-        if self._n <= 5:
-            heights.append(x)
-            if self._n == 5:
-                heights.sort()
-                self._pos = [0, 1, 2, 3, 4]
-                p = self.p
-                self._want = [0.0, 2.0 * p, 4.0 * p, 2.0 + 2.0 * p, 4.0]
-            return
-        pos = self._pos
-        if x < heights[0]:
-            heights[0] = x
-            k = 0
-        elif x >= heights[4]:
-            heights[4] = x
-            k = 3
-        elif x < heights[1]:
-            k = 0
-        elif x < heights[2]:
-            k = 1
-        elif x < heights[3]:
-            k = 2
-        else:
-            k = 3
-        for i in range(k + 1, 5):
-            pos[i] += 1
-        want = self._want
-        grow = self._grow
-        for i in range(1, 5):
-            want[i] += grow[i]
-        for i in (1, 2, 3):
-            d = want[i] - pos[i]
-            if (d >= 1.0 and pos[i + 1] - pos[i] > 1) or \
-               (d <= -1.0 and pos[i - 1] - pos[i] < -1):
-                step = 1 if d >= 1.0 else -1
-                h = self._parabolic(i, step)
-                if heights[i - 1] < h < heights[i + 1]:
-                    heights[i] = h
+    def add_many(self, xs: Sequence[float]) -> None:
+        """Feed ``xs`` through the bank, in order — the one P² update.
+
+        The markers live in locals for the whole batch and are written
+        back once.  Feeding a stream in any split of batches leaves the
+        bank bit-identical to feeding it one sample at a time: every
+        float operation below keeps one fixed form and order.
+        """
+        n = self._n
+        if n < 5:
+            # Warm-up: collect the first five samples raw.
+            take = xs[:5 - n]
+            self._heights.extend(take)
+            n += len(take)
+            self._n = n
+            if n < 5:
+                return
+            self._heights.sort()
+            self._pos = [0, 1, 2, 3, 4]
+            p = self.p
+            self._want = [0.0, 2.0 * p, 4.0 * p, 2.0 + 2.0 * p, 4.0]
+            xs = xs[len(take):]
+            if not xs:
+                return
+        h0, h1, h2, h3, h4 = self._heights
+        n0, n1, n2, n3, n4 = self._pos
+        w0, w1, w2, w3, w4 = self._want
+        _, g1, g2, g3, g4 = self._grow
+        for x in xs:
+            # Find the cell holding x; shift the positions above it.
+            if x < h0:
+                h0 = x
+                n1 += 1
+                n2 += 1
+                n3 += 1
+            elif x >= h4:
+                h4 = x
+            elif x < h1:
+                n1 += 1
+                n2 += 1
+                n3 += 1
+            elif x < h2:
+                n2 += 1
+                n3 += 1
+            elif x < h3:
+                n3 += 1
+            n4 += 1
+            w1 += g1
+            w2 += g2
+            w3 += g3
+            w4 += g4
+            # Nudge each middle marker that drifted a whole position off
+            # its target: piecewise-parabolic if that stays between its
+            # neighbours, else linear toward the neighbour it moves to.
+            d = w1 - n1
+            s = (1 if d >= 1.0 and n2 - n1 > 1 else
+                 -1 if d <= -1.0 and n0 - n1 < -1 else 0)
+            if s:
+                h = h1 + s / (n2 - n0) * (
+                    (n1 - n0 + s) * (h2 - h1) / (n2 - n1)
+                    + (n2 - n1 - s) * (h1 - h0) / (n1 - n0))
+                if h0 < h < h2:
+                    h1 = h
+                elif s > 0:
+                    h1 = h1 + s * (h2 - h1) / (n2 - n1)
                 else:
-                    heights[i] = self._linear(i, step)
-                pos[i] += step
-
-    def _parabolic(self, i: int, d: int) -> float:
-        q, n = self._heights, self._pos
-        return q[i] + d / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + d) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1]) / (n[i] - n[i - 1]))
-
-    def _linear(self, i: int, d: int) -> float:
-        q, n = self._heights, self._pos
-        return q[i] + d * (q[i + d] - q[i]) / (n[i + d] - n[i])
+                    h1 = h1 + s * (h0 - h1) / (n0 - n1)
+                n1 += s
+            d = w2 - n2
+            s = (1 if d >= 1.0 and n3 - n2 > 1 else
+                 -1 if d <= -1.0 and n1 - n2 < -1 else 0)
+            if s:
+                h = h2 + s / (n3 - n1) * (
+                    (n2 - n1 + s) * (h3 - h2) / (n3 - n2)
+                    + (n3 - n2 - s) * (h2 - h1) / (n2 - n1))
+                if h1 < h < h3:
+                    h2 = h
+                elif s > 0:
+                    h2 = h2 + s * (h3 - h2) / (n3 - n2)
+                else:
+                    h2 = h2 + s * (h1 - h2) / (n1 - n2)
+                n2 += s
+            d = w3 - n3
+            s = (1 if d >= 1.0 and n4 - n3 > 1 else
+                 -1 if d <= -1.0 and n2 - n3 < -1 else 0)
+            if s:
+                h = h3 + s / (n4 - n2) * (
+                    (n3 - n2 + s) * (h4 - h3) / (n4 - n3)
+                    + (n4 - n3 - s) * (h3 - h2) / (n3 - n2))
+                if h2 < h < h4:
+                    h3 = h
+                elif s > 0:
+                    h3 = h3 + s * (h4 - h3) / (n4 - n3)
+                else:
+                    h3 = h3 + s * (h2 - h3) / (n2 - n3)
+                n3 += s
+        self._heights = [h0, h1, h2, h3, h4]
+        self._pos = [n0, n1, n2, n3, n4]
+        self._want = [w0, w1, w2, w3, w4]
+        self._n = n + len(xs)
 
     def value(self) -> float:
         if self._n == 0:
@@ -275,7 +322,7 @@ class _P2Quantile:
         Three regimes, each deterministic for a given pair of states:
 
         * either side has fewer than 5 samples — its raw samples are
-          replayed through :meth:`add` (exact);
+          replayed through :meth:`add_many` (exact);
         * both banks are live — the merged markers are read off the
           **count-weighted mixture** of the two piecewise-linear sketch
           CDFs, inverted at the canonical marker fractions
@@ -310,15 +357,13 @@ class _P2Quantile:
             return
         if other._n < 5:
             # Raw samples on the right: replay them (exact).
-            for x in list(other._heights):
-                self.add(x)
+            self.add_many(list(other._heights))
             return
         if self._n < 5:
             # Raw samples on the left: replay into a copy of the bank.
             merged = _P2Quantile(self.p)
             merged._adopt(other)
-            for x in list(self._heights):
-                merged.add(x)
+            merged.add_many(list(self._heights))
             self._adopt(merged)
             return
         wa, wb = self._n, other._n
@@ -394,22 +439,31 @@ class StreamingLatencyStats:
         self._max = float("-inf")
 
     def record(self, latency_ns: float) -> None:
-        if latency_ns < 0:
-            raise ValueError(f"negative latency: {latency_ns}")
-        self._count += 1
-        delta = latency_ns - self._mean
-        self._mean += delta / self._count
-        self._m2 += delta * (latency_ns - self._mean)
-        if latency_ns < self._min:
-            self._min = latency_ns
-        if latency_ns > self._max:
-            self._max = latency_ns
-        for mark in self._marks.values():
-            mark.add(latency_ns)
+        self.extend((latency_ns,))
 
     def extend(self, samples: Iterable[float]) -> None:
-        for sample in samples:
-            self.record(sample)
+        """Record ``samples`` in order.  A batch holding a negative
+        sample raises before any state changes."""
+        xs = samples if isinstance(samples, (list, tuple)) else list(samples)
+        count, mean, m2 = self._count, self._mean, self._m2
+        lo, hi = self._min, self._max
+        for x in xs:
+            if x < 0:
+                raise ValueError(f"negative latency: {x}")
+            count += 1
+            delta = x - mean
+            mean += delta / count
+            m2 += delta * (x - mean)
+            if x < lo:
+                lo = x
+            if x > hi:
+                hi = x
+        self._count, self._mean, self._m2 = count, mean, m2
+        self._min, self._max = lo, hi
+        # The banks are independent of each other and of the moments, so
+        # batch-at-a-time equals the per-sample interleaving exactly.
+        for mark in self._marks.values():
+            mark.add_many(xs)
 
     def merge(self, other: "StreamingLatencyStats") -> "StreamingLatencyStats":
         """Fold ``other``'s state into this recorder (and return self).

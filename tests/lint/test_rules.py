@@ -675,57 +675,6 @@ def test_perf404_allows_non_sweep_double_platform(tmp_path):
     assert rules == []
 
 
-# -- PERF405: per-request fabric wire in a serving loop ----------------------
-
-
-def test_perf405_flags_singleton_wire_per_iteration(tmp_path):
-    rules = lint_source(tmp_path, """
-        def serve(port, requests, dst, send_ns):
-            for user, issue in requests:
-                port.send_bulk(dst, "req", [(user, issue)], send_ns)
-    """, select=["PERF405"])
-    assert rules == ["PERF405"]
-
-
-def test_perf405_flags_singleton_keyword_items(tmp_path):
-    rules = lint_source(tmp_path, """
-        def serve(port, requests, dst, send_ns):
-            for item in requests:
-                port.send_bulk(dst, "req", items=(item,), send_ns=send_ns)
-    """, select=["PERF405"])
-    assert rules == ["PERF405"]
-
-
-def test_perf405_allows_per_destination_batches(tmp_path):
-    """One wire per destination group is the batched shape the rule
-    steers toward — a loop over destinations stays quiet."""
-    rules = lint_source(tmp_path, """
-        def flush(port, per_dst, send_ns):
-            for dst in sorted(per_dst):
-                port.send_bulk(dst, "req", tuple(per_dst[dst]), send_ns)
-    """, select=["PERF405"])
-    assert rules == []
-
-
-def test_perf405_allows_singleton_outside_loops(tmp_path):
-    rules = lint_source(tmp_path, """
-        def nack_one(port, wire, send_ns):
-            port.send_bulk(wire.src, "nack", [wire.payload], send_ns)
-    """, select=["PERF405"])
-    assert rules == []
-
-
-def test_perf405_suppressible(tmp_path):
-    rules = lint_source(tmp_path, """
-        def probe(port, requests, dst, send_ns):
-            for item in requests:
-                # Ordering probe: one record per wire is the measurement.
-                port.send_bulk(  # reprolint: disable=PERF405
-                    dst, "probe", [item], send_ns)
-    """, select=["PERF405"])
-    assert rules == []
-
-
 def test_perf404_suppressible(tmp_path):
     rules = lint_source(tmp_path, """
         from repro.core.platform import Platform

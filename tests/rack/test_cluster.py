@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.rack import RackConfig, run_rack
+from repro.rack.fabric import Fabric
 
 HOSTS = 4
 USERS = 2000          # >= cfg.buckets; ~7 epochs, sub-second serial
@@ -128,3 +129,31 @@ def test_small_rack_stats_match_pinned_reference_with_kill_firing():
     assert result.stats() == PINNED_KILL_STATS
     assert result.fabric_stats == {
         "epochs_run": 12, "wires": 117, "bounces": 2}
+
+
+def test_each_shard_sends_one_wire_per_destination_and_kind_per_epoch(
+        monkeypatch):
+    """The batching contract (docs/RACK.md): a shard frames everything
+    it sends one destination in one epoch as a single wire per message
+    kind, so fabric cost scales with destinations, not requests.  Each
+    ``Fabric.push`` call is one shard's outbox for one epoch (or one
+    switch bounce); together they must account for every wire routed."""
+    pushes = []
+    push = Fabric.push
+
+    def recording_push(self, wires):
+        wires = tuple(wires)
+        pushes.append(wires)
+        push(self, wires)
+
+    monkeypatch.setattr(Fabric, "push", recording_push)
+    cfg = RackConfig(hosts=HOSTS, users=2 * USERS, seed=42, kill=(1, 0.4))
+    result = run_rack(cfg, jobs=1)
+    assert sum(len(wires) for wires in pushes) \
+        == result.fabric_stats["wires"] > 0
+    kinds = set()
+    for wires in pushes:
+        keys = [(w.src, w.dst, w.kind) for w in wires]
+        assert len(set(keys)) == len(keys), keys
+        kinds.update(w.kind for w in wires)
+    assert kinds == {"req", "rep", "nack", "migrate"}

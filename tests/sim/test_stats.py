@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.rng import DeterministicRng
 from repro.sim.stats import (LatencyStats, StreamingLatencyStats,
@@ -163,6 +165,66 @@ def test_streaming_small_sample_counts_match_exact():
         for pct in (50.0, 99.0, 99.9):
             assert stream.percentile(pct) == pytest.approx(
                 exact.percentile(pct))
+
+
+def _stream_state(rec):
+    """Every field the recorder's answers derive from."""
+    return ((rec._count, rec._mean, rec._m2, rec._min, rec._max),
+            [(q._heights, q._pos, q._want, q._n)
+             for q in rec._marks.values()])
+
+
+_latency = st.floats(min_value=0.0, max_value=1e7, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(samples=st.lists(_latency, max_size=80),
+       cuts=st.lists(st.integers(min_value=1, max_value=12), max_size=40),
+       as_record=st.lists(st.booleans(), max_size=40))
+def test_any_batch_split_is_bit_identical_to_one_at_a_time(
+        samples, cuts, as_record):
+    """The P² kernel runs on whole batches; how a stream is cut into
+    ``extend`` batches and ``record`` calls must not move a single bit
+    of the bank or the moments.  Short batches cross the warm-up."""
+    ref = StreamingLatencyStats()
+    for x in samples:
+        ref.record(x)
+    split = StreamingLatencyStats()
+    i = 0
+    for j, cut in enumerate(cuts):
+        if j < len(as_record) and as_record[j]:
+            for x in samples[i:i + cut]:
+                split.record(x)
+        else:
+            split.extend(samples[i:i + cut])
+        i += cut
+    split.extend(iter(samples[i:]))
+    assert _stream_state(split) == _stream_state(ref)
+
+
+def test_streaming_reference_stream_is_pinned():
+    """Literals recorded from the original one-sample-at-a-time P²
+    update: the batch kernel must reproduce them to the last bit."""
+    stream = StreamingLatencyStats()
+    stream.extend(_heavy_tail_samples(100_000, seed=41))
+    assert stream.p50() == 1319.4163515533214
+    assert stream.p99() == 6499.596946170022
+    assert stream.p999() == 14978.774672497555
+    assert stream.mean() == 1668.92730358782
+
+
+def test_streaming_batch_with_negative_sample_changes_nothing():
+    stream = StreamingLatencyStats()
+    stream.extend([3.0, 1.0, 4.0, 1.0, 5.0, 9.0])
+    before = _stream_state(stream)
+    with pytest.raises(ValueError, match="negative latency: -2.0"):
+        stream.extend([2.0, 6.0, -2.0, 7.0])
+    assert _stream_state(stream) == before
+    fresh = StreamingLatencyStats()
+    with pytest.raises(ValueError):
+        fresh.extend([1.0, -1.0])
+    assert fresh.count == 0 and _stream_state(fresh) == _stream_state(
+        StreamingLatencyStats())
 
 
 def test_streaming_untracked_percentile_raises():
